@@ -30,8 +30,9 @@
 //! linting such a file reports the resulting select/path mismatches,
 //! which is a true statement about the netlist as written.
 //!
-//! Exit codes: `0` — clean; `1` — at least one error-severity finding;
-//! `2` — tool failure (unknown target, unreadable or unparsable input,
+//! Exit codes: `0` — clean; `1` — at least one error-severity finding,
+//! or a report left incomplete (a check family unproven); `2` — tool
+//! failure (unknown target, unreadable or unparsable input,
 //! failed synthesis, bad flags).
 
 use std::env;
@@ -46,7 +47,8 @@ use rsn_sib::generate;
 use rsn_synth::{synthesize, SynthesisOptions};
 use rsn_verify::{explain_report, NetworkSat, VerifyOptions, VerifyReport};
 
-/// Findings present (exit 1) — distinct from tool failure (exit 2).
+/// Findings present or a report incomplete (exit 1) — distinct from
+/// tool failure (exit 2).
 const EXIT_FINDINGS: u8 = 1;
 /// Unknown target, parse failure, failed synthesis, bad flags (exit 2).
 const EXIT_TOOL_ERROR: u8 = 2;
@@ -54,7 +56,7 @@ const EXIT_TOOL_ERROR: u8 = 2;
 fn usage(code: u8) -> ExitCode {
     eprintln!("usage: rsn-lint [TARGET ...] [--ft] [--explain] [--json] [--quiet]");
     eprintln!("  TARGET: embedded SoC name | file.soc | file.icl | examples");
-    eprintln!("  exit codes: 0 clean, 1 findings, 2 tool error");
+    eprintln!("  exit codes: 0 clean, 1 findings or incomplete, 2 tool error");
     ExitCode::from(code)
 }
 
@@ -141,7 +143,7 @@ fn main() -> ExitCode {
                 explain_report(&network, &sat, &mut report, &budget);
                 report
             } else {
-                rsn_verify::verify_with(&network, vopts)
+                rsn_verify::verify_under(&network, vopts, &Budget::default())
             };
             errors += report.error_count();
             if json {
@@ -162,7 +164,7 @@ fn main() -> ExitCode {
             warnings
         );
     }
-    if errors > 0 {
+    if errors > 0 || !reports.iter().all(VerifyReport::is_complete) {
         ExitCode::from(EXIT_FINDINGS)
     } else {
         ExitCode::SUCCESS

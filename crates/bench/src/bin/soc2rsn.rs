@@ -24,8 +24,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use rsn_budget::Budget;
 use rsn_export::{to_icl, to_verilog};
-use rsn_fault::{analyze_parallel, HardeningProfile};
+use rsn_fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 use rsn_itc02::{by_name, parse_soc};
 use rsn_sib::generate;
 use rsn_synth::{synthesize, SolverChoice, SynthesisOptions};
@@ -168,7 +169,7 @@ fn main() -> ExitCode {
             } else {
                 rsn_verify::VerifyOptions::without_select_checks()
             };
-            let vreport = rsn_verify::verify_with(network, vopts);
+            let vreport = rsn_verify::verify_under(network, vopts, &Budget::default());
             print!("{}", indent(&vreport.render()));
             lint_errors += vreport.error_count();
         }
@@ -178,7 +179,8 @@ fn main() -> ExitCode {
             } else {
                 HardeningProfile::unhardened()
             };
-            let m = analyze_parallel(network, profile);
+            let m =
+                analyze_parallel_budgeted(network, profile, WeightModel::Ports, &Budget::default());
             println!("  metric: {m}");
         }
     }

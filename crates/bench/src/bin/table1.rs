@@ -1,11 +1,15 @@
 //! Regenerates Table I of the paper (and the auxiliary experiment data).
 //!
 //! ```text
-//! table1 [--bench NAME]... [--section char|sib|ft|area|all] [--timing]
-//!        [--paper] [--verify] [--ablation] [--sweep-alpha] [--json PATH]
-//!        [--trace PATH] [--prom PATH] [--bench-access PATH]
-//!        [--bench-sat PATH] [--budget SECS] [--resume] [--no-collapse]
+//! table1 [--bench NAME]... [--timing] [--paper] [--verify] [--ablation]
+//!        [--sweep-alpha] [--latency] [--double] [--weights ports|cells]
+//!        [--json PATH] [--trace PATH] [--prom PATH] [--bench-access PATH]
+//!        [--bench-sat PATH] [--budget SECS] [--resume]
 //! ```
+//!
+//! Exit codes: `0` — success (also for `--help`); `2` — bad arguments
+//! (unknown flag or benchmark, missing or malformed value) or an
+//! unusable `--resume` checkpoint.
 //!
 //! With `--trace PATH`, event tracing is switched on for the whole run and
 //! a Chrome-trace / Perfetto JSON (span begin/end plus instant events,
@@ -17,11 +21,6 @@
 //! With `--prom PATH`, the final metrics snapshot is additionally written
 //! in the Prometheus text exposition format (one row's worth when `--json`
 //! resets between rows, the whole run otherwise).
-//!
-//! `--no-collapse` disables ATPG-style fault collapsing in every metric
-//! sweep (each fault evaluated individually) — an escape hatch for
-//! cross-checking the collapsed fast path; aggregates are identical
-//! either way.
 //!
 //! With `--budget SECS`, every row runs under a fresh wall-clock budget of
 //! SECS seconds shared by all of its stages. Budget exhaustion never
@@ -66,23 +65,33 @@
 //! speedup) is written to PATH. Defaults to `u226` + `p93791` when no
 //! `--bench` is given.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::env;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bench::{
-    bmc_spot_check, bmc_spot_check_under, evaluate, evaluate_budgeted, evaluate_weighted,
-    evaluate_with, format_row, AccessSweep, Row, BENCHMARKS,
-};
+use bench::{bmc_spot_check_under, evaluate_budgeted, format_row, AccessSweep, Row, BENCHMARKS};
 use rsn_budget::Budget;
 use rsn_fault::WeightModel;
 use rsn_itc02::by_name;
 use rsn_obs::{json::Json, RunReport};
 use rsn_sib::generate;
 use rsn_synth::{
-    augment_greedy, augment_ilp, augment_ilp_under, AugmentOptions, Dataflow, SolverChoice,
-    SynthesisOptions,
+    augment_greedy, augment_ilp_under, AugmentOptions, Dataflow, SolverChoice, SynthesisOptions,
 };
+
+/// Bad arguments or an unusable `--resume` checkpoint (exit 2).
+const EXIT_USAGE: u8 = 2;
+
+fn usage(code: u8) -> ExitCode {
+    eprintln!("usage: table1 [--bench NAME]... [--timing] [--paper] [--verify] [--ablation]");
+    eprintln!("              [--sweep-alpha] [--latency] [--double] [--weights ports|cells]");
+    eprintln!("              [--json PATH] [--trace PATH] [--prom PATH] [--bench-access PATH]");
+    eprintln!("              [--bench-sat PATH] [--budget SECS] [--resume]");
+    eprintln!("  NAME: one of {}", BENCHMARKS.join(", "));
+    eprintln!("  exit codes: 0 success, 2 bad arguments or checkpoint");
+    ExitCode::from(code)
+}
 
 /// The checkpoint path for a `--json PATH` run: `.json` → `.partial.json`.
 fn partial_path(json_path: &str) -> String {
@@ -210,13 +219,13 @@ fn run_double(names: &[&str]) {
         // Stride scaled so each network evaluates ~2000 pairs.
         let f_orig = rsn_fault::fault_universe(&rsn).len();
         let f_ft = rsn_fault::fault_universe(&ft.rsn).len();
-        let orig = rsn_fault::analyze_double_sampled(
-            &rsn,
+        let orig = rsn_fault::analyze_double_sampled_on(
+            &rsn_fault::AccessEngine::new(&rsn),
             rsn_fault::HardeningProfile::unhardened(),
             (f_orig * f_orig / 4000).max(1),
         );
-        let hard = rsn_fault::analyze_double_sampled(
-            &ft.rsn,
+        let hard = rsn_fault::analyze_double_sampled_on(
+            &rsn_fault::AccessEngine::new(&ft.rsn),
             rsn_fault::HardeningProfile::hardened(),
             (f_ft * f_ft / 4000).max(1),
         );
@@ -280,7 +289,7 @@ fn previous_throughput(path: &str) -> HashMap<(String, String), f64> {
     out
 }
 
-fn run_bench_access(names: &[&str], path: &str, collapse: bool) {
+fn run_bench_access(names: &[&str], path: &str) {
     let previous = previous_throughput(path);
     println!("Accessibility-engine throughput (fault universe, full sweep)");
     println!(
@@ -289,7 +298,7 @@ fn run_bench_access(names: &[&str], path: &str, collapse: bool) {
     );
     let mut rows: Vec<Json> = Vec::new();
     for name in names {
-        let b = bench::bench_access_with(name, collapse);
+        let b = bench::bench_access(name);
         println!(
             "{name:<8} {:>10} {:>7} {:>9.3} {:>12.0} | {:>10} {:>7} {:>9.3} {:>12.0}",
             b.sib.faults,
@@ -342,7 +351,7 @@ fn run_bench_access(names: &[&str], path: &str, collapse: bool) {
         "host_threads",
         Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
     );
-    doc.set("collapse", Json::Bool(collapse));
+    doc.set("collapse", Json::Bool(true));
     doc.set(
         "generated_by",
         Json::Str("table1 --bench-access".to_string()),
@@ -478,7 +487,7 @@ fn run_ablation(names: &[&str]) {
         }
         let opts = AugmentOptions::default();
         let greedy = augment_greedy(&df, &opts);
-        let ilp = augment_ilp(&df, &opts).expect("ilp solves");
+        let ilp = augment_ilp_under(&df, &opts, &Budget::default()).expect("ilp solves");
         let gap = if ilp.cost > 0.0 {
             100.0 * (greedy.cost - ilp.cost) / ilp.cost
         } else {
@@ -502,7 +511,7 @@ fn run_alpha_sweep(names: &[&str]) {
             let mut opts = SynthesisOptions::new();
             opts.augment.alpha = alpha;
             opts.solver = SolverChoice::Greedy;
-            let row = evaluate_with(name, &opts);
+            let row = evaluate_budgeted(name, &opts, WeightModel::Ports, &Budget::default());
             println!(
                 "{name:<8} {alpha:>6.2} {:>8} {:>10.2} {:>8.3}",
                 row.synthesis.report.added_edges,
@@ -541,7 +550,7 @@ fn write_trace(path: &str, threads: &[rsn_obs::TraceThread]) {
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut names: Vec<&str> = Vec::new();
     let mut show_paper = false;
@@ -559,20 +568,40 @@ fn main() {
     let mut bench_sat_path: Option<String> = None;
     let mut budget_secs: Option<f64> = None;
     let mut resume = false;
-    let mut collapse = true;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => {
-                i += 1;
-                let wanted = args.get(i).expect("--bench needs a name").clone();
-                let known: HashSet<&str> = BENCHMARKS.iter().copied().collect();
-                let name = BENCHMARKS
-                    .iter()
-                    .find(|&&b| b == wanted)
-                    .unwrap_or_else(|| panic!("unknown benchmark {wanted}; known: {known:?}"));
-                names.push(name);
+        let flag = args[i].as_str();
+        let takes_value = matches!(
+            flag,
+            "--bench"
+                | "--weights"
+                | "--json"
+                | "--trace"
+                | "--prom"
+                | "--bench-access"
+                | "--bench-sat"
+                | "--budget"
+        );
+        let value = if takes_value {
+            i += 1;
+            match args.get(i) {
+                Some(v) => v.clone(),
+                None => {
+                    eprintln!("error: {flag} needs a value");
+                    return usage(EXIT_USAGE);
+                }
             }
+        } else {
+            String::new()
+        };
+        match flag {
+            "--bench" => match BENCHMARKS.iter().find(|&&b| b == value) {
+                Some(&name) => names.push(name),
+                None => {
+                    eprintln!("error: unknown benchmark {value}");
+                    return usage(EXIT_USAGE);
+                }
+            },
             "--paper" => show_paper = true,
             "--timing" => timing = true,
             "--verify" => verify = true,
@@ -581,51 +610,39 @@ fn main() {
             "--latency" => latency = true,
             "--double" => double = true,
             "--weights" => {
-                i += 1;
-                weights = match args.get(i).map(String::as_str) {
-                    Some("ports") => WeightModel::Ports,
-                    Some("cells") => WeightModel::Cells,
-                    other => panic!("--weights ports|cells, got {other:?}"),
+                weights = match value.as_str() {
+                    "ports" => WeightModel::Ports,
+                    "cells" => WeightModel::Cells,
+                    other => {
+                        eprintln!("error: --weights ports|cells, got {other}");
+                        return usage(EXIT_USAGE);
+                    }
                 };
             }
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).expect("--json needs a path").clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).expect("--trace needs a path").clone());
-            }
-            "--prom" => {
-                i += 1;
-                prom_path = Some(args.get(i).expect("--prom needs a path").clone());
-            }
-            "--bench-access" => {
-                i += 1;
-                bench_access_path = Some(args.get(i).expect("--bench-access needs a path").clone());
-            }
-            "--bench-sat" => {
-                i += 1;
-                bench_sat_path = Some(args.get(i).expect("--bench-sat needs a path").clone());
-            }
-            "--budget" => {
-                i += 1;
-                let secs: f64 = args
-                    .get(i)
-                    .expect("--budget needs seconds")
-                    .parse()
-                    .expect("--budget needs a number of seconds");
-                assert!(secs >= 0.0, "--budget must be non-negative");
-                budget_secs = Some(secs);
-            }
+            "--json" => json_path = Some(value),
+            "--trace" => trace_path = Some(value),
+            "--prom" => prom_path = Some(value),
+            "--bench-access" => bench_access_path = Some(value),
+            "--bench-sat" => bench_sat_path = Some(value),
+            "--budget" => match value.parse::<f64>() {
+                Ok(secs) if secs >= 0.0 => budget_secs = Some(secs),
+                _ => {
+                    eprintln!("error: --budget needs a non-negative number of seconds");
+                    return usage(EXIT_USAGE);
+                }
+            },
             "--resume" => resume = true,
-            "--no-collapse" => collapse = false,
-            "--section" => {
-                i += 1; // sections are printed together; flag kept for CLI
+            "--help" | "-h" => return usage(0),
+            other => {
+                eprintln!("error: unknown flag {other}");
+                return usage(EXIT_USAGE);
             }
-            other => panic!("unknown flag {other}"),
         }
         i += 1;
+    }
+    if resume && json_path.is_none() {
+        eprintln!("error: --resume requires --json PATH (the checkpoint lives next to it)");
+        return usage(EXIT_USAGE);
     }
     if trace_path.is_some() {
         rsn_obs::set_trace_enabled(true);
@@ -640,7 +657,7 @@ fn main() {
         if let Some(tpath) = &trace_path {
             write_trace(tpath, &rsn_obs::trace_drain());
         }
-        return;
+        return ExitCode::SUCCESS;
     }
     if let Some(path) = bench_access_path {
         let sel = if names.is_empty() {
@@ -648,11 +665,11 @@ fn main() {
         } else {
             names
         };
-        run_bench_access(&sel, &path, collapse);
+        run_bench_access(&sel, &path);
         if let Some(tpath) = &trace_path {
             write_trace(tpath, &rsn_obs::trace_drain());
         }
-        return;
+        return ExitCode::SUCCESS;
     }
     if names.is_empty() {
         names = BENCHMARKS.to_vec();
@@ -660,15 +677,15 @@ fn main() {
 
     if ablation {
         run_ablation(&names);
-        return;
+        return ExitCode::SUCCESS;
     }
     if latency {
         run_latency(&names);
-        return;
+        return ExitCode::SUCCESS;
     }
     if double {
         run_double(&names);
-        return;
+        return ExitCode::SUCCESS;
     }
     if sweep_alpha {
         let small = if names.len() == BENCHMARKS.len() {
@@ -677,15 +694,12 @@ fn main() {
             names.clone()
         };
         run_alpha_sweep(&small);
-        return;
+        return ExitCode::SUCCESS;
     }
 
     // Checkpoint rows completed by an interrupted `--json` run, by name.
     let mut resumed: HashMap<String, Json> = HashMap::new();
-    if resume {
-        let path = json_path
-            .as_deref()
-            .expect("--resume requires --json PATH (the checkpoint lives next to it)");
+    if let (true, Some(path)) = (resume, &json_path) {
         let ppath = partial_path(path);
         match load_checkpoint(&ppath, &names) {
             Ok(rows) if rows.is_empty() => {
@@ -697,7 +711,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                std::process::exit(2);
+                return ExitCode::from(EXIT_USAGE);
             }
         }
     }
@@ -728,32 +742,18 @@ fn main() {
         }
         // A fresh budget per row: one slow benchmark cannot starve the
         // rows after it.
+        // Without `--budget`, each stage gets its own unlimited budget.
         let row_budget = budget_secs
             .map(|secs| Budget::unlimited().with_deadline(Duration::from_secs_f64(secs)));
-        let row = if !collapse {
-            let opts = if verify {
-                rsn_synth::SynthesisOptions::verified()
-            } else {
-                rsn_synth::SynthesisOptions::new()
-            };
-            let b = row_budget.clone().unwrap_or_else(Budget::unlimited);
-            bench::evaluate_budgeted_with_collapse(name, &opts, weights, &b, false)
-        } else if let Some(b) = &row_budget {
-            let opts = if verify {
-                rsn_synth::SynthesisOptions::verified()
-            } else {
-                rsn_synth::SynthesisOptions::new()
-            };
-            evaluate_budgeted(name, &opts, weights, b)
-        } else if verify {
-            // Post-synthesis static verification gates every row:
-            // error-severity diagnostics abort inside `synthesize`.
-            evaluate_weighted(name, &rsn_synth::SynthesisOptions::verified(), weights)
-        } else if weights == WeightModel::Ports {
-            evaluate(name)
+        let stage_budget = || row_budget.clone().unwrap_or_default();
+        // With `--verify`, post-synthesis static verification gates every
+        // row: error-severity diagnostics abort inside `synthesize`.
+        let opts = if verify {
+            rsn_synth::SynthesisOptions::verified()
         } else {
-            evaluate_weighted(name, &rsn_synth::SynthesisOptions::new(), weights)
+            rsn_synth::SynthesisOptions::new()
         };
+        let row = evaluate_budgeted(name, &opts, weights, &stage_budget());
         println!("{}", format_row(&row));
         if row.timed_out {
             println!(
@@ -787,10 +787,7 @@ fn main() {
             let soc = by_name(name).expect("embedded");
             let rsn = generate(&soc).expect("generate");
             let steps = row.levels + 2;
-            let (checked, mismatches) = match &row_budget {
-                Some(b) => bmc_spot_check_under(&rsn, steps, 150, 8, b),
-                None => bmc_spot_check(&rsn, steps, 150, 8),
-            };
+            let (checked, mismatches) = bmc_spot_check_under(&rsn, steps, 150, 8, &stage_budget());
             if mismatches > 0 {
                 eprintln!("warning: {name}: {mismatches}/{checked} BMC spot checks disagree");
             }
@@ -802,10 +799,7 @@ fn main() {
             let df = Dataflow::extract(&rsn);
             if df.len() <= 60 {
                 let _s = rsn_obs::Span::enter("ilp_reference");
-                let _ = match &row_budget {
-                    Some(b) => augment_ilp_under(&df, &AugmentOptions::default(), b),
-                    None => augment_ilp(&df, &AugmentOptions::default()),
-                };
+                let _ = augment_ilp_under(&df, &AugmentOptions::default(), &stage_budget());
             } else if df.len() <= 150 {
                 let _s = rsn_obs::Span::enter("ilp_reference");
                 let capped = Budget::unlimited().with_work_limit(500);
@@ -854,4 +848,5 @@ fn main() {
         merge_trace(&mut trace_threads, rsn_obs::trace_drain());
         write_trace(path, &trace_threads);
     }
+    ExitCode::SUCCESS
 }

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use rsn_budget::Budget;
 use rsn_core::Rsn;
 use rsn_fault::{
-    analyze_faults_on, analyze_parallel_budgeted, fault_universe_weighted, AccessEngine,
-    FaultToleranceReport, HardeningProfile, WeightModel,
+    analyze_classes_on_budget, analyze_parallel_budgeted, fault_universe_weighted, AccessEngine,
+    FaultClasses, FaultToleranceReport, HardeningProfile, WeightModel,
 };
 use rsn_itc02::{by_name, TableTargets};
 use rsn_sib::generate;
@@ -58,59 +58,26 @@ pub struct Row {
     pub degraded: bool,
 }
 
-/// Runs the full pipeline for one embedded benchmark.
+/// Runs the full pipeline for one embedded benchmark, with an explicit
+/// fault-class weight model (experiment T1-weights: sensitivity of the
+/// averages to cell- vs port-level weighting), bounded by a per-row
+/// [`Budget`] shared by every stage (pass `&Budget::default()` for no
+/// limit).
+///
+/// Degradation is fail-soft: a starved metric sweep keeps its evaluated
+/// prefix and sets [`Row::timed_out`]; a starved augmentation ILP falls
+/// back to the greedy heuristic and sets [`Row::degraded`].
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of the embedded benchmarks or any pipeline
-/// stage fails (the embedded suite is expected to succeed end to end).
-pub fn evaluate(name: &str) -> Row {
-    evaluate_with(name, &SynthesisOptions::new())
-}
-
-/// Runs the full pipeline with explicit synthesis options.
-///
-/// # Panics
-///
-/// See [`evaluate`].
-pub fn evaluate_with(name: &str, opts: &SynthesisOptions) -> Row {
-    evaluate_weighted(name, opts, WeightModel::Ports)
-}
-
-/// Full pipeline with an explicit fault-class weight model (experiment
-/// T1-weights: sensitivity of the averages to cell- vs port-level
-/// weighting).
-pub fn evaluate_weighted(name: &str, opts: &SynthesisOptions, model: WeightModel) -> Row {
-    evaluate_budgeted(name, opts, model, &Budget::unlimited())
-}
-
-/// Full pipeline bounded by a per-row [`Budget`] shared by every stage.
-///
-/// Degradation is fail-soft: a starved metric sweep keeps its evaluated
-/// prefix and sets [`Row::timed_out`]; a starved augmentation ILP falls
-/// back to the greedy heuristic and sets [`Row::degraded`]. With an
-/// unlimited budget the row is identical to [`evaluate_weighted`].
-///
-/// # Panics
-///
-/// See [`evaluate`]; budget exhaustion never panics.
+/// stage fails (the embedded suite is expected to succeed end to end);
+/// budget exhaustion never panics.
 pub fn evaluate_budgeted(
     name: &str,
     opts: &SynthesisOptions,
     model: WeightModel,
     budget: &Budget,
-) -> Row {
-    evaluate_budgeted_with_collapse(name, opts, model, budget, true)
-}
-
-/// [`evaluate_budgeted`] with fault collapsing switched on or off for
-/// both metric sweeps — `table1 --no-collapse` routes here.
-pub fn evaluate_budgeted_with_collapse(
-    name: &str,
-    opts: &SynthesisOptions,
-    model: WeightModel,
-    budget: &Budget,
-    collapse: bool,
 ) -> Row {
     let pipeline = rsn_obs::Span::enter("pipeline");
     let soc = by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
@@ -119,11 +86,7 @@ pub fn evaluate_budgeted_with_collapse(
         generate(&soc).expect("SIB generation succeeds on embedded suite")
     });
     let sweep = |rsn: &Rsn, profile: HardeningProfile| {
-        if collapse {
-            analyze_parallel_budgeted(rsn, profile, model, budget)
-        } else {
-            rsn_fault::analyze_parallel_budgeted_uncollapsed(rsn, profile, model, budget)
-        }
+        analyze_parallel_budgeted(rsn, profile, model, budget)
     };
 
     let t0 = Instant::now();
@@ -176,15 +139,11 @@ pub fn evaluate_budgeted_with_collapse(
 ///
 /// Returns `(checked, mismatches)`. Skipped (returns `(0, 0)`) when the
 /// network exceeds `max_nodes` — the CSU unrolling grows quadratically —
-/// or has secondary scan ports (not modeled by the BMC).
-pub fn bmc_spot_check(rsn: &Rsn, steps: usize, max_nodes: usize, max_targets: usize) -> (u64, u64) {
-    bmc_spot_check_under(rsn, steps, max_nodes, max_targets, &Budget::unlimited())
-}
-
-/// [`bmc_spot_check`] bounded by a [`Budget`]: an [`rsn_bmc::Verdict::Unknown`]
-/// verdict stops the sweep (remaining targets are neither checked nor
-/// counted), so a spot check on an already expired row budget costs one
-/// solver entry check and nothing more.
+/// or has secondary scan ports (not modeled by the BMC). An
+/// [`rsn_bmc::Verdict::Unknown`] verdict stops the sweep (remaining
+/// targets are neither checked nor counted), so a spot check on an
+/// already expired row budget costs one solver entry check and nothing
+/// more.
 pub fn bmc_spot_check_under(
     rsn: &Rsn,
     steps: usize,
@@ -227,14 +186,13 @@ pub fn bmc_spot_check_under(
 ///
 /// The timed region covers engine construction *and* the per-fault sweep,
 /// so `faults_per_sec` is comparable with an end-to-end
-/// [`rsn_fault::analyze_parallel_with`] call (the quantity tracked in
+/// [`rsn_fault::analyze_parallel_budgeted`] call (the quantity tracked in
 /// `BENCH_access.json`).
 #[derive(Debug, Clone)]
 pub struct AccessSweep {
     /// Faults in the universe (each accounted exactly once).
     pub faults: usize,
-    /// Equivalence classes actually evaluated (== `faults` with
-    /// collapsing off).
+    /// Equivalence classes actually evaluated.
     pub classes: usize,
     /// `faults / classes`, never below 1.0.
     pub collapse_ratio: f64,
@@ -259,22 +217,13 @@ pub struct AccessBench {
     pub ft: AccessSweep,
 }
 
-fn timed_sweep(rsn: &Rsn, profile: HardeningProfile, collapse: bool) -> AccessSweep {
+fn timed_sweep(rsn: &Rsn, profile: HardeningProfile) -> AccessSweep {
     let faults = fault_universe_weighted(rsn, WeightModel::Ports);
     let threads = rsn_budget::default_threads().min(16);
     let t0 = Instant::now();
     let engine = AccessEngine::new(rsn);
-    let report = if collapse {
-        analyze_faults_on(&engine, &faults, profile, threads)
-    } else {
-        rsn_fault::analyze_faults_on_budget_uncollapsed(
-            &engine,
-            &faults,
-            profile,
-            threads,
-            &Budget::unlimited(),
-        )
-    };
+    let classes = FaultClasses::build(rsn, &faults, profile);
+    let report = analyze_classes_on_budget(&engine, &faults, &classes, threads, &Budget::default());
     let seconds = t0.elapsed().as_secs_f64();
     AccessSweep {
         faults: faults.len(),
@@ -291,29 +240,22 @@ fn timed_sweep(rsn: &Rsn, profile: HardeningProfile, collapse: bool) -> AccessSw
 /// fault-tolerant RSN and sweeps that too. Records
 /// `bench.access_sib_faults_per_sec` / `bench.access_ft_faults_per_sec`
 /// gauges (the per-sweep `fault.faults_per_sec` gauge is also set by the
-/// inner [`analyze_faults_on`] calls).
+/// inner [`analyze_classes_on_budget`] calls).
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of the embedded benchmarks or synthesis
 /// fails (the embedded suite is expected to succeed end to end).
 pub fn bench_access(name: &str) -> AccessBench {
-    bench_access_with(name, true)
-}
-
-/// [`bench_access`] with fault collapsing switched on or off — the
-/// `--no-collapse` escape hatch measures the raw per-fault engine
-/// throughput without class sharing.
-pub fn bench_access_with(name: &str, collapse: bool) -> AccessBench {
     let _span = rsn_obs::Span::enter("bench_access");
     let soc = by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let rsn = generate(&soc).expect("SIB generation succeeds on embedded suite");
-    let sib = timed_sweep(&rsn, HardeningProfile::unhardened(), collapse);
+    let sib = timed_sweep(&rsn, HardeningProfile::unhardened());
     rsn_obs::gauge_set("bench.access_sib_faults_per_sec", sib.faults_per_sec);
     let ft_rsn = synthesize(&rsn, &SynthesisOptions::new())
         .expect("synthesis succeeds")
         .rsn;
-    let ft = timed_sweep(&ft_rsn, HardeningProfile::hardened(), collapse);
+    let ft = timed_sweep(&ft_rsn, HardeningProfile::hardened());
     rsn_obs::gauge_set("bench.access_ft_faults_per_sec", ft.faults_per_sec);
     AccessBench {
         name: name.to_string(),
@@ -467,7 +409,7 @@ pub fn bench_sat(name: &str, threads: usize) -> Vec<SatBenchRow> {
             solver_threads: n,
             ..rsn_verify::VerifyOptions::default()
         };
-        timed_sat(|| rsn_verify::verify_with(&rsn, opts))
+        timed_sat(|| rsn_verify::verify_under(&rsn, opts, &Budget::default()))
     };
     let (serial_report, ss, sc) = verify_at(1);
     let (parallel_report, ps, pc) = verify_at(threads);
@@ -565,7 +507,12 @@ mod tests {
 
     #[test]
     fn evaluate_small_benchmark_end_to_end() {
-        let row = evaluate("q12710");
+        let row = evaluate_budgeted(
+            "q12710",
+            &SynthesisOptions::new(),
+            WeightModel::Ports,
+            &Budget::default(),
+        );
         assert_eq!(row.mux, 25);
         assert_eq!(row.segments, 46);
         // Paper shape: SIB worst is total disconnection, FT much better.
@@ -577,7 +524,12 @@ mod tests {
 
     #[test]
     fn format_row_contains_name() {
-        let row = evaluate("q12710");
+        let row = evaluate_budgeted(
+            "q12710",
+            &SynthesisOptions::new(),
+            WeightModel::Ports,
+            &Budget::default(),
+        );
         let s = format_row(&row);
         assert!(s.starts_with("q12710"));
     }
@@ -601,7 +553,12 @@ mod tests {
 
     #[test]
     fn unlimited_budget_row_matches_unbudgeted() {
-        let plain = evaluate("q12710");
+        let plain = evaluate_budgeted(
+            "q12710",
+            &SynthesisOptions::new(),
+            WeightModel::Ports,
+            &Budget::default(),
+        );
         let budgeted = evaluate_budgeted(
             "q12710",
             &SynthesisOptions::new(),

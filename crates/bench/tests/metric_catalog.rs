@@ -9,8 +9,9 @@
 //! registry sees exactly this pipeline.
 
 use rsn_budget::Budget;
+use rsn_fault::WeightModel;
 use rsn_obs::{catalog_lookup, MetricKind};
-use rsn_synth::{augment_ilp, AugmentOptions, Dataflow};
+use rsn_synth::{augment_ilp_under, AugmentOptions, Dataflow, SynthesisOptions};
 
 #[test]
 fn every_emitted_metric_is_catalogued() {
@@ -19,17 +20,23 @@ fn every_emitted_metric_is_catalogued() {
     // The same probes as a `table1 --json`/`--trace` row on u226: the
     // full pipeline (synthesis, both fault sweeps, area), the BMC spot
     // check (SAT) and an exact-ILP reference on a small dataflow.
-    let row = bench::evaluate("u226");
+    let row = bench::evaluate_budgeted(
+        "u226",
+        &SynthesisOptions::new(),
+        WeightModel::Ports,
+        &Budget::default(),
+    );
     assert!(row.ft.fault_count > 0);
     let soc = rsn_itc02::by_name("u226").expect("embedded");
     let rsn = rsn_sib::generate(&soc).expect("generate");
-    let (checked, _) = bench::bmc_spot_check(&rsn, row.levels + 2, 150, 4);
+    let (checked, _) =
+        bench::bmc_spot_check_under(&rsn, row.levels + 2, 150, 4, &Budget::default());
     assert!(checked > 0, "BMC spot check must run");
     let small =
         rsn_sib::generate(&rsn_itc02::by_name("q12710").expect("embedded")).expect("generate");
     let df = Dataflow::extract(&small);
     assert!(df.len() <= 60, "q12710 stays exact-ILP sized");
-    augment_ilp(&df, &AugmentOptions::default()).expect("ilp solves");
+    augment_ilp_under(&df, &AugmentOptions::default(), &Budget::default()).expect("ilp solves");
     // A budget-starved verify exercises the lint + trip paths.
     let starved = Budget::unlimited().with_work_limit(0);
     let _ = rsn_verify::verify_under(&rsn, rsn_verify::VerifyOptions::default(), &starved);

@@ -3,23 +3,35 @@
 //! DESIGN.md): for small networks and the exhaustive fault universe, both
 //! engines must agree on every (fault, segment) verdict.
 
-use ftrsn::bmc::bmc_accessibility;
+use ftrsn::bmc::{BmcChecker, Verdict};
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::{chain, fig2, sib_tree};
 use ftrsn::core::Rsn;
-use ftrsn::fault::{accessibility, effect_of, fault_universe, HardeningProfile};
+use ftrsn::fault::{effect_of, fault_universe, AccessEngine, HardeningProfile};
 use ftrsn::itc02::parse_soc;
 use ftrsn::sib::generate;
 use ftrsn::synth::{synthesize, SelectMode, SynthesisOptions};
 
+/// Accessibility without a budget limit; an undecided query fails the
+/// test.
+fn accessible(checker: &mut BmcChecker, target: ftrsn::core::NodeId) -> bool {
+    match checker.accessible_under(target, &Budget::default()) {
+        Verdict::Unknown { .. } => panic!("undecided query"),
+        verdict => verdict.is_accessible(),
+    }
+}
+
 /// Exhaustively compares both engines over the full fault universe.
 fn cross_validate(rsn: &Rsn, profile: HardeningProfile, steps: usize) {
+    let engine = AccessEngine::new(rsn);
     for fault in fault_universe(rsn) {
         let effect = effect_of(rsn, &fault, profile);
-        let structural = accessibility(rsn, &effect);
-        for (seg, bmc_ok) in bmc_accessibility(rsn, &effect, steps) {
+        let structural = engine.accessibility(&effect, &mut engine.scratch());
+        let mut checker = BmcChecker::with_fault(rsn, steps, &effect);
+        for seg in rsn.segments() {
             assert_eq!(
                 structural.accessible[seg.index()],
-                bmc_ok,
+                accessible(&mut checker, seg),
                 "disagreement: network {}, fault {fault}, segment {}",
                 rsn.name(),
                 rsn.node(seg).name()
@@ -72,7 +84,7 @@ fn bmc_finds_no_access_below_required_depth() {
         .find(|&s| rsn.node(s).name().ends_with(".seg"))
         .expect("leaf");
     let mut shallow = ftrsn::bmc::BmcChecker::new(&rsn, 1);
-    assert!(!shallow.accessible(leaf));
+    assert!(!accessible(&mut shallow, leaf));
     let mut deep = ftrsn::bmc::BmcChecker::new(&rsn, 2);
-    assert!(deep.accessible(leaf));
+    assert!(accessible(&mut deep, leaf));
 }

@@ -3,9 +3,10 @@
 //! telemetry. Kept as a single test in its own binary so the process-global
 //! registry sees exactly this pipeline.
 
-use ftrsn::bmc::BmcChecker;
+use ftrsn::bmc::{BmcChecker, Verdict};
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
-use ftrsn::fault::{analyze, HardeningProfile};
+use ftrsn::fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 use ftrsn::obs::{self, json, RunReport};
 use ftrsn::synth::{synthesize, SolverChoice, SynthesisOptions};
 
@@ -21,11 +22,14 @@ fn fixed_pipeline_report_contains_solver_and_phase_telemetry() {
     let result = synthesize(&rsn, &opts).expect("synthesize");
     assert!(result.report.used_ilp);
 
+    let budget = Budget::default();
     let mut checker = BmcChecker::new(&rsn, 2);
     for seg in rsn.segments() {
-        assert!(checker.accessible(seg), "{}", rsn.node(seg).name());
+        let verdict = checker.accessible_under(seg, &budget);
+        assert_eq!(verdict, Verdict::Accessible, "{}", rsn.node(seg).name());
     }
-    let metric = analyze(&rsn, HardeningProfile::unhardened());
+    let profile = HardeningProfile::unhardened();
+    let metric = analyze_parallel_budgeted(&rsn, profile, WeightModel::Ports, &budget);
     assert!(metric.fault_count > 0);
 
     let report = RunReport::capture("golden");
@@ -139,7 +143,7 @@ fn fixed_pipeline_report_contains_solver_and_phase_telemetry() {
             > 0.0
     );
     let spans = parsed.get_path("spans").expect("spans object");
-    for path in ["synthesize", "synthesize/augment", "analyze"] {
+    for path in ["synthesize", "synthesize/augment", "analyze_parallel"] {
         assert!(spans.get(path).is_some(), "missing span {path} in {text}");
     }
 

@@ -2,11 +2,20 @@
 //! fault-tolerant synthesis → metric and area, with golden expectations
 //! derived from the paper's Table I shape.
 
-use ftrsn::fault::{analyze_parallel, HardeningProfile};
+use ftrsn::budget::Budget;
+use ftrsn::fault::{
+    analyze_classes_on_budget, analyze_parallel_budgeted, fault_universe, AccessEngine,
+    FaultClasses, FaultEffect, HardeningProfile, WeightModel,
+};
 use ftrsn::itc02::{by_name, table_targets, TABLE1};
 use ftrsn::sib::generate;
 use ftrsn::synth::area::{costs, AreaModel, Overhead};
 use ftrsn::synth::{synthesize, SynthesisOptions};
+
+/// The port-weighted fault-tolerance metric without a budget limit.
+fn metric(rsn: &ftrsn::core::Rsn, profile: HardeningProfile) -> ftrsn::fault::FaultToleranceReport {
+    analyze_parallel_budgeted(rsn, profile, WeightModel::Ports, &Budget::default())
+}
 
 /// The small half of the suite, kept fast enough for CI.
 const SMALL: [&str; 6] = ["u226", "d281", "h953", "x1331", "f2126", "q12710"];
@@ -28,7 +37,7 @@ fn sib_rsn_worst_case_is_total_disconnection() {
     for name in SMALL {
         let soc = by_name(name).expect("embedded");
         let rsn = generate(&soc).expect("generate");
-        let report = analyze_parallel(&rsn, HardeningProfile::unhardened());
+        let report = metric(&rsn, HardeningProfile::unhardened());
         assert_eq!(report.worst_segments, 0.0, "{name}");
         assert_eq!(report.worst_bits, 0.0, "{name}");
         // Average in a plausible band around the paper's 0.66–0.93.
@@ -46,7 +55,7 @@ fn ft_rsn_recovers_worst_case_and_average() {
         let soc = by_name(name).expect("embedded");
         let rsn = generate(&soc).expect("generate");
         let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        let report = analyze_parallel(&result.rsn, HardeningProfile::hardened());
+        let report = metric(&result.rsn, HardeningProfile::hardened());
         // Paper: 95% – 99.9% of segments stay accessible for the worst
         // fault; over 99% on average.
         assert!(
@@ -134,7 +143,8 @@ fn every_segment_remains_fault_free_accessible_after_synthesis() {
     let soc = by_name("q12710").expect("embedded");
     let rsn = generate(&soc).expect("generate");
     let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-    let acc = ftrsn::fault::accessibility(&result.rsn, &ftrsn::fault::FaultEffect::benign());
+    let engine = AccessEngine::new(&result.rsn);
+    let acc = engine.accessibility(&FaultEffect::benign(), &mut engine.scratch());
     assert_eq!(acc.accessible_segments, acc.total_segments);
 }
 
@@ -162,8 +172,11 @@ fn every_segment_plannable_in_original_and_ft() {
 fn parallel_and_sequential_metric_agree() {
     let soc = by_name("x1331").expect("embedded");
     let rsn = generate(&soc).expect("generate");
-    let a = ftrsn::fault::analyze(&rsn, HardeningProfile::unhardened());
-    let b = analyze_parallel(&rsn, HardeningProfile::unhardened());
+    let engine = AccessEngine::new(&rsn);
+    let faults = fault_universe(&rsn);
+    let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
+    let a = analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::default());
+    let b = metric(&rsn, HardeningProfile::unhardened());
     assert_eq!(a.fault_count, b.fault_count);
     assert!((a.avg_segments - b.avg_segments).abs() < 1e-12);
     assert_eq!(a.worst_segments, b.worst_segments);

@@ -5,16 +5,25 @@
 //! generator so the workspace carries no external dependencies and every
 //! run exercises the same cases.
 
+use ftrsn::bmc::BmcChecker;
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
 use ftrsn::core::{ControlExpr, NodeId};
-use ftrsn::fault::{accessibility, analyze, FaultEffect, HardeningProfile};
+use ftrsn::fault::{
+    analyze_parallel_budgeted, AccessEngine, FaultEffect, HardeningProfile, WeightModel,
+};
 use ftrsn::graph::vertex_independent_paths;
-use ftrsn::ilp::{solve_ilp, IlpError, Problem};
+use ftrsn::ilp::{solve_ilp_under, IlpError, Problem};
 use ftrsn::itc02::{Module, Soc};
-use ftrsn::sat::{Lit, Solver, Var};
+use ftrsn::sat::{Lit, SolveOutcome, Solver, Var};
 use ftrsn::sib::generate;
 use ftrsn::synth::{augment_greedy, augmented_graph, AugmentOptions, Dataflow};
 use ftrsn::synth::{synthesize, SynthesisOptions};
+
+/// The port-weighted fault-tolerance metric without a budget limit.
+fn metric(rsn: &ftrsn::core::Rsn, profile: HardeningProfile) -> ftrsn::fault::FaultToleranceReport {
+    analyze_parallel_budgeted(rsn, profile, WeightModel::Ports, &Budget::default())
+}
 
 struct Rng(u64);
 
@@ -82,7 +91,8 @@ fn every_segment_of_a_generated_rsn_is_accessible() {
             assert!(rsn.is_accessible(seg));
         }
         // And the structural engine agrees in the fault-free case.
-        let acc = accessibility(&rsn, &FaultEffect::benign());
+        let engine = AccessEngine::new(&rsn);
+        let acc = engine.accessibility(&FaultEffect::benign(), &mut engine.scratch());
         assert_eq!(acc.accessible_segments, acc.total_segments);
     }
 }
@@ -146,9 +156,9 @@ fn ft_metric_dominates_original_on_random_socs() {
     for _case in 0..8 {
         let soc = random_soc(&mut rng);
         let rsn = generate(&soc).expect("generate");
-        let before = analyze(&rsn, HardeningProfile::unhardened());
+        let before = metric(&rsn, HardeningProfile::unhardened());
         let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        let after = analyze(&result.rsn, HardeningProfile::hardened());
+        let after = metric(&result.rsn, HardeningProfile::hardened());
         assert!(after.worst_segments >= before.worst_segments);
         assert!(after.avg_segments + 1e-9 >= before.avg_segments);
         // The headline property: no single fault loses more than a couple
@@ -196,11 +206,12 @@ fn random_cnf_agrees_with_brute_force() {
                 .all(|c| c.iter().any(|&(v, pos)| (((m >> v) & 1) == 1) == pos))
         });
         let got = if trivially_unsat {
-            false
+            SolveOutcome::Unsat
         } else {
-            solver.solve()
+            solver.solve_with_under(&[], &Budget::default())
         };
-        assert_eq!(got, brute, "clauses {clauses:?}");
+        assert!(!got.is_unknown(), "clauses {clauses:?}");
+        assert_eq!(got.is_sat(), brute, "clauses {clauses:?}");
     }
 }
 
@@ -234,7 +245,7 @@ fn random_binary_ilp_agrees_with_brute_force() {
                 best = Some(best.map_or(obj, |b: f64| b.min(obj)));
             }
         }
-        match (solve_ilp(&p), best) {
+        match (solve_ilp_under(&p, &Budget::default()), best) {
             (Ok(sol), Some(b)) => {
                 assert!((sol.objective - b).abs() < 1e-5);
                 assert!(p.is_feasible(&sol.values, 1e-5));
@@ -297,11 +308,15 @@ fn engine_agrees_with_bmc_on_random_socs() {
         let faults = ftrsn::fault::fault_universe(&rsn);
         let fault = faults[rng.below(faults.len() as u64) as usize];
         let effect = ftrsn::fault::effect_of(&rsn, &fault, HardeningProfile::unhardened());
-        let structural = accessibility(&rsn, &effect);
-        for (seg, bmc_ok) in ftrsn::bmc::bmc_accessibility(&rsn, &effect, 3) {
+        let engine = AccessEngine::new(&rsn);
+        let structural = engine.accessibility(&effect, &mut engine.scratch());
+        let mut checker = BmcChecker::with_fault(&rsn, 3, &effect);
+        for seg in rsn.segments() {
+            let bmc = checker.accessible_under(seg, &Budget::default());
+            assert!(!bmc.is_unknown());
             assert_eq!(
                 structural.accessible[seg.index()],
-                bmc_ok,
+                bmc.is_accessible(),
                 "fault {} segment {}",
                 fault,
                 rsn.node(seg).name()

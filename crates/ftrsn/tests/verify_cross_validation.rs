@@ -107,7 +107,7 @@ fn agrees_with_bmc_select_consistency_on_single_port_networks() {
         if ports != 1 {
             continue; // BMC's encoding terminates at the primary port only.
         }
-        let bmc = verify_select_consistency(rsn);
+        let bmc = verify_select_consistency(rsn).expect("decided");
         let sat = verify(rsn);
         let sat_mismatch = sat
             .diagnostics

@@ -27,13 +27,14 @@
 //! # Example
 //!
 //! ```
-//! use rsn_bmc::BmcChecker;
+//! use rsn_bmc::{BmcChecker, Verdict};
+//! use rsn_budget::Budget;
 //! use rsn_core::examples::fig2;
 //!
 //! let rsn = fig2();
 //! let mut checker = BmcChecker::new(&rsn, 2);
 //! let c = rsn.find("C").expect("segment C");
-//! assert!(checker.accessible(c));
+//! assert_eq!(checker.accessible_under(c, &Budget::default()), Verdict::Accessible);
 //! ```
 
 pub mod selects;
@@ -389,17 +390,9 @@ impl BmcChecker {
 
     /// Decides accessibility of `target`: is there a sequence of `steps`
     /// valid CSU transitions after which the target lies on the active
-    /// scan path and the path is clean end to end?
-    pub fn accessible(&mut self, target: NodeId) -> bool {
-        match self.accessible_under(target, &Budget::unlimited()) {
-            Verdict::Accessible => true,
-            Verdict::Inaccessible => false,
-            Verdict::Unknown { .. } => unreachable!("unlimited budget cannot exhaust"),
-        }
-    }
-
-    /// Like [`BmcChecker::accessible`], bounded by a [`Budget`] threaded
-    /// into the underlying SAT solve (one work unit per conflict).
+    /// scan path and the path is clean end to end? Bounded by a
+    /// [`Budget`] threaded into the underlying SAT solve (one work unit
+    /// per conflict).
     ///
     /// Exhaustion yields [`Verdict::Unknown`] carrying the unroll bound
     /// at which the query was left undecided; the checker stays usable
@@ -459,7 +452,7 @@ pub enum Distinguishability {
 ///
 /// The miter unrolls the faulty transition relation twice into one CNF,
 /// sharing the per-step primary-input and shift-datum literals (see
-/// [`encode_unrolling`]); each machine's trajectory is then a function
+/// `encode_unrolling`); each machine's trajectory is then a function
 /// of the stimulus and can only diverge through the fault effects
 /// themselves. A `Sat` answer is a distinguishing test; `Unsat` proves
 /// the pair equivalent within the bound — for two effects from the same
@@ -472,6 +465,7 @@ pub enum Distinguishability {
 ///
 /// ```
 /// use rsn_bmc::{Distinguishability, FaultDistinguisher};
+/// use rsn_budget::Budget;
 /// use rsn_core::examples::fig2;
 /// use rsn_fault::{effect_of, fault_universe, HardeningProfile};
 ///
@@ -481,7 +475,11 @@ pub enum Distinguishability {
 /// let a = effect_of(&rsn, &faults[0], p);
 /// let same = effect_of(&rsn, &faults[0], p);
 /// let mut miter = FaultDistinguisher::new(&rsn, 2, &a, &same);
-/// assert!(!miter.distinguishable(), "a fault cannot be told from itself");
+/// assert_eq!(
+///     miter.distinguishable_under(&Budget::default()),
+///     Distinguishability::Equivalent,
+///     "a fault cannot be told from itself"
+/// );
 /// ```
 #[derive(Debug)]
 pub struct FaultDistinguisher {
@@ -562,20 +560,9 @@ impl FaultDistinguisher {
         self.steps
     }
 
-    /// Decides distinguishability under an unlimited budget.
-    pub fn distinguishable(&mut self) -> bool {
-        match self.distinguishable_under(&Budget::unlimited()) {
-            Distinguishability::Distinguishable => true,
-            Distinguishability::Equivalent => false,
-            Distinguishability::Unknown { .. } => {
-                unreachable!("unlimited budget cannot exhaust")
-            }
-        }
-    }
-
-    /// Like [`FaultDistinguisher::distinguishable`], bounded by a
-    /// [`Budget`] threaded into the SAT solve. The miter stays usable
-    /// after exhaustion and the query can be retried.
+    /// Decides distinguishability, bounded by a [`Budget`] threaded into
+    /// the SAT solve. The miter stays usable after exhaustion and the
+    /// query can be retried.
     pub fn distinguishable_under(&mut self, budget: &Budget) -> Distinguishability {
         if self.structurally_distinct {
             return Distinguishability::Distinguishable;
@@ -648,26 +635,27 @@ impl ExprCtx<'_> {
     }
 }
 
-/// Convenience: checks accessibility of every segment under a fault and
-/// returns the per-segment verdicts, mirroring
-/// [`rsn_fault::accessibility`] for cross-validation.
-pub fn bmc_accessibility(rsn: &Rsn, effect: &FaultEffect, steps: usize) -> Vec<(NodeId, bool)> {
-    let mut checker = BmcChecker::with_fault(rsn, steps, effect);
-    rsn.segments().map(|s| (s, checker.accessible(s))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsn_core::examples::{chain, fig2, sib_tree};
     use rsn_fault::{effect_of, fault_universe, HardeningProfile};
 
+    /// Accessibility without a budget limit; an undecided query fails
+    /// the test.
+    fn accessible(checker: &mut BmcChecker, target: NodeId) -> bool {
+        match checker.accessible_under(target, &Budget::default()) {
+            Verdict::Unknown { .. } => panic!("undecided query"),
+            verdict => verdict.is_accessible(),
+        }
+    }
+
     #[test]
     fn fault_free_fig2_all_accessible() {
         let rsn = fig2();
         let mut checker = BmcChecker::new(&rsn, 2);
         for s in rsn.segments() {
-            assert!(checker.accessible(s), "{}", rsn.node(s).name());
+            assert!(accessible(&mut checker, s), "{}", rsn.node(s).name());
         }
     }
 
@@ -677,8 +665,8 @@ mod tests {
         let mut checker = BmcChecker::new(&rsn, 0);
         let b = rsn.find("B").expect("B");
         let c = rsn.find("C").expect("C");
-        assert!(checker.accessible(b), "B is on the reset path");
-        assert!(!checker.accessible(c), "C needs one CSU");
+        assert!(accessible(&mut checker, b), "B is on the reset path");
+        assert!(!accessible(&mut checker, c), "C needs one CSU");
     }
 
     #[test]
@@ -686,7 +674,7 @@ mod tests {
         let rsn = fig2();
         let mut checker = BmcChecker::new(&rsn, 1);
         let c = rsn.find("C").expect("C");
-        assert!(checker.accessible(c));
+        assert!(accessible(&mut checker, c));
     }
 
     #[test]
@@ -697,9 +685,9 @@ mod tests {
             .find(|&s| rsn.node(s).name().ends_with(".seg"))
             .expect("leaf");
         let mut shallow = BmcChecker::new(&rsn, 1);
-        assert!(!shallow.accessible(leaf), "needs 2 CSUs");
+        assert!(!accessible(&mut shallow, leaf), "needs 2 CSUs");
         let mut deep = BmcChecker::new(&rsn, 2);
-        assert!(deep.accessible(leaf));
+        assert!(accessible(&mut deep, leaf));
     }
 
     #[test]
@@ -714,7 +702,7 @@ mod tests {
         let effect = effect_of(&rsn, f, HardeningProfile::unhardened());
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
         for s in rsn.segments() {
-            assert!(!checker.accessible(s), "single chain: all lost");
+            assert!(!accessible(&mut checker, s), "single chain: all lost");
         }
     }
 
@@ -729,10 +717,10 @@ mod tests {
             .expect("exists");
         let effect = effect_of(&rsn, f, HardeningProfile::unhardened());
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
-        assert!(!checker.accessible(b));
+        assert!(!accessible(&mut checker, b));
         for name in ["A", "C", "D"] {
             let id = rsn.find(name).expect("exists");
-            assert!(checker.accessible(id), "{name}");
+            assert!(accessible(&mut checker, id), "{name}");
         }
     }
 
@@ -740,14 +728,15 @@ mod tests {
     fn bmc_agrees_with_structural_engine_on_fig2() {
         let rsn = fig2();
         let profile = HardeningProfile::unhardened();
+        let engine = rsn_fault::AccessEngine::new(&rsn);
         for fault in fault_universe(&rsn) {
             let effect = effect_of(&rsn, &fault, profile);
-            let structural = rsn_fault::accessibility(&rsn, &effect);
-            let bmc = bmc_accessibility(&rsn, &effect, 2);
-            for (s, bmc_ok) in bmc {
+            let structural = engine.accessibility(&effect, &mut engine.scratch());
+            let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
+            for s in rsn.segments() {
                 assert_eq!(
                     structural.accessible[s.index()],
-                    bmc_ok,
+                    accessible(&mut checker, s),
                     "fault {fault} segment {}",
                     rsn.node(s).name()
                 );
@@ -790,7 +779,7 @@ mod tests {
         let mut budgeted = BmcChecker::new(&rsn, 2);
         let mut plain = BmcChecker::new(&rsn, 2);
         for s in rsn.segments() {
-            let expect = if plain.accessible(s) {
+            let expect = if accessible(&mut plain, s) {
                 Verdict::Accessible
             } else {
                 Verdict::Inaccessible
@@ -806,8 +795,8 @@ mod tests {
         let mut effect = FaultEffect::benign();
         effect.local_loss.push(b);
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
-        assert!(!checker.accessible(b));
+        assert!(!accessible(&mut checker, b));
         let a = rsn.find("A").expect("A");
-        assert!(checker.accessible(a));
+        assert!(accessible(&mut checker, a));
     }
 }

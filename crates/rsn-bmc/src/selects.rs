@@ -8,8 +8,9 @@
 //! Select(c, s) ≠ onpath(c, s)` as one SAT query — feasible for networks
 //! far beyond exhaustive configuration enumeration.
 
+use rsn_budget::{Budget, Reason};
 use rsn_core::{Config, ControlExpr, NodeId, NodeKind, Rsn};
-use rsn_sat::{CnfBuilder, Lit};
+use rsn_sat::{CnfBuilder, Lit, SolveOutcome};
 
 /// A witness of select/path disagreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,8 +21,13 @@ pub struct SelectMismatch {
     pub config: Config,
 }
 
-/// Proves select/path consistency over *all* configurations, or returns a
-/// counterexample.
+/// Proves select/path consistency over *all* configurations (`Ok(None)`),
+/// or returns a counterexample.
+///
+/// # Errors
+///
+/// The [`Reason`] the SAT query was left undecided: it runs without a
+/// limit, so only a cancelled solve (a `sat.solve` failpoint) gets here.
 ///
 /// # Example
 ///
@@ -29,10 +35,10 @@ pub struct SelectMismatch {
 /// use rsn_bmc::verify_select_consistency;
 /// use rsn_core::examples::{fig2, sib_tree};
 ///
-/// assert!(verify_select_consistency(&fig2()).is_none());
-/// assert!(verify_select_consistency(&sib_tree(2, 2, 4)).is_none());
+/// assert_eq!(verify_select_consistency(&fig2()), Ok(None));
+/// assert_eq!(verify_select_consistency(&sib_tree(2, 2, 4)), Ok(None));
 /// ```
-pub fn verify_select_consistency(rsn: &Rsn) -> Option<SelectMismatch> {
+pub fn verify_select_consistency(rsn: &Rsn) -> Result<Option<SelectMismatch>, Reason> {
     let mut cnf = CnfBuilder::new();
     let n_bits = rsn.shadow_bits() as usize;
     let bits: Vec<Lit> = (0..n_bits).map(|_| cnf.new_lit()).collect();
@@ -124,8 +130,10 @@ pub fn verify_select_consistency(rsn: &Rsn) -> Option<SelectMismatch> {
     cnf.assert_lit(any);
 
     let solver = cnf.solver_mut();
-    if !solver.solve() {
-        return None; // consistent for every configuration
+    match solver.solve_with_under(&[], &Budget::default()) {
+        SolveOutcome::Sat => {}
+        SolveOutcome::Unsat => return Ok(None), // consistent for every configuration
+        SolveOutcome::Unknown { reason, .. } => return Err(reason),
     }
     // Extract the witness.
     let mut config = Config::zeroed(n_bits, rsn.num_inputs());
@@ -144,7 +152,7 @@ pub fn verify_select_consistency(rsn: &Rsn) -> Option<SelectMismatch> {
         .find(|&&(_, l)| solver.lit_value_model(l) == Some(true))
         .map(|&(s, _)| s)
         .expect("some mismatch literal is true");
-    Some(SelectMismatch { segment, config })
+    Ok(Some(SelectMismatch { segment, config }))
 }
 
 #[cfg(test)]
@@ -157,7 +165,7 @@ mod tests {
     fn generated_networks_are_consistent() {
         for rsn in [fig2(), chain(5, 3), sib_tree(2, 2, 4)] {
             assert!(
-                verify_select_consistency(&rsn).is_none(),
+                verify_select_consistency(&rsn) == Ok(None),
                 "{} must be select-consistent",
                 rsn.name()
             );
@@ -180,7 +188,9 @@ mod tests {
         b.set_select(c1, !ControlExpr::reg(a, 0));
         b.set_select(c2, !ControlExpr::reg(a, 0)); // wrong: should be reg(a,0)
         let rsn = b.finish().expect("structurally valid");
-        let mismatch = verify_select_consistency(&rsn).expect("inconsistent");
+        let mismatch = verify_select_consistency(&rsn)
+            .expect("decided")
+            .expect("inconsistent");
         // The witness must actually exhibit the mismatch.
         let path = rsn.trace_path(&mismatch.config).expect("traceable");
         let selected = rsn
@@ -194,7 +204,7 @@ mod tests {
         // A mid-size generated benchmark verifies in one SAT call.
         let soc = rsn_itc02::by_name("q12710").expect("embedded");
         let rsn = rsn_sib::generate(&soc).expect("generate");
-        assert!(verify_select_consistency(&rsn).is_none());
+        assert!(verify_select_consistency(&rsn) == Ok(None));
     }
 
     #[test]
@@ -206,7 +216,7 @@ mod tests {
         opts.secondary_ports = false;
         let ft = synthesize(&rsn, &opts).expect("synthesize");
         assert!(
-            verify_select_consistency(&ft.rsn).is_none(),
+            verify_select_consistency(&ft.rsn) == Ok(None),
             "synthesized selects must match path membership everywhere"
         );
     }

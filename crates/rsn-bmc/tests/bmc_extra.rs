@@ -1,19 +1,46 @@
 //! Additional BMC coverage: incremental querying, deeper hierarchies,
 //! forced-subtree semantics, and agreement with the fault-free planner.
 
-use rsn_bmc::{bmc_accessibility, BmcChecker};
+use rsn_bmc::{BmcChecker, Verdict};
+use rsn_budget::Budget;
 use rsn_core::examples::{chain, fig2, sib_tree};
-use rsn_fault::{effect_of, fault_universe, FaultEffect, FaultSite, HardeningProfile};
+use rsn_core::{NodeId, Rsn};
+use rsn_fault::{
+    effect_of, fault_universe, AccessEngine, FaultEffect, FaultSite, HardeningProfile,
+};
 use rsn_itc02::parse_soc;
 use rsn_sib::generate;
+
+/// Accessibility without a budget limit; an undecided query fails the
+/// test.
+fn accessible(checker: &mut BmcChecker, target: NodeId) -> bool {
+    match checker.accessible_under(target, &Budget::default()) {
+        Verdict::Unknown { .. } => panic!("undecided query"),
+        verdict => verdict.is_accessible(),
+    }
+}
+
+/// Per-segment BMC accessibility under a fault.
+fn segment_verdicts(rsn: &Rsn, effect: &FaultEffect, steps: usize) -> Vec<(NodeId, bool)> {
+    let mut checker = BmcChecker::with_fault(rsn, steps, effect);
+    rsn.segments()
+        .map(|s| (s, accessible(&mut checker, s)))
+        .collect()
+}
 
 #[test]
 fn incremental_queries_reuse_one_checker() {
     let rsn = sib_tree(1, 3, 2);
     let mut checker = BmcChecker::new(&rsn, 2);
     // Query every segment twice; verdicts must be stable.
-    let first: Vec<bool> = rsn.segments().map(|s| checker.accessible(s)).collect();
-    let second: Vec<bool> = rsn.segments().map(|s| checker.accessible(s)).collect();
+    let first: Vec<bool> = rsn
+        .segments()
+        .map(|s| accessible(&mut checker, s))
+        .collect();
+    let second: Vec<bool> = rsn
+        .segments()
+        .map(|s| accessible(&mut checker, s))
+        .collect();
     assert_eq!(first, second);
     assert!(first.iter().all(|&b| b), "fault-free: all accessible");
 }
@@ -29,13 +56,13 @@ fn bmc_matches_greedy_planner_depths() {
         if needed > 0 {
             let mut shallow = BmcChecker::new(&rsn, needed - 1);
             assert!(
-                !shallow.accessible(seg),
+                !accessible(&mut shallow, seg),
                 "{} accessible below plan depth {needed}",
                 rsn.node(seg).name()
             );
         }
         let mut exact = BmcChecker::new(&rsn, needed);
-        assert!(exact.accessible(seg), "{}", rsn.node(seg).name());
+        assert!(accessible(&mut exact, seg), "{}", rsn.node(seg).name());
     }
 }
 
@@ -52,7 +79,7 @@ fn forced_open_subtree_keeps_everything_accessible() {
         weight: 1,
     };
     let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-    for (seg, ok) in bmc_accessibility(&rsn, &effect, 3) {
+    for (seg, ok) in segment_verdicts(&rsn, &effect, 3) {
         assert!(ok, "{} must stay accessible", rsn.node(seg).name());
     }
 }
@@ -66,7 +93,7 @@ fn scan_out_fault_kills_everything_in_bmc() {
         weight: 1,
     };
     let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-    for (_, ok) in bmc_accessibility(&rsn, &effect, 2) {
+    for (_, ok) in segment_verdicts(&rsn, &effect, 2) {
         assert!(!ok);
     }
 }
@@ -77,11 +104,11 @@ fn chain_cross_validation_with_all_faults_and_more_steps() {
     let rsn = chain(3, 2);
     for fault in fault_universe(&rsn) {
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-        let at_1: Vec<bool> = bmc_accessibility(&rsn, &effect, 1)
+        let at_1: Vec<bool> = segment_verdicts(&rsn, &effect, 1)
             .into_iter()
             .map(|(_, b)| b)
             .collect();
-        let at_3: Vec<bool> = bmc_accessibility(&rsn, &effect, 3)
+        let at_3: Vec<bool> = segment_verdicts(&rsn, &effect, 3)
             .into_iter()
             .map(|(_, b)| b)
             .collect();
@@ -95,7 +122,7 @@ fn local_loss_only_affects_the_lost_segment() {
     let leaf = rsn.find("t00.seg").expect("leaf");
     let mut effect = FaultEffect::benign();
     effect.local_loss.push(leaf);
-    for (seg, ok) in bmc_accessibility(&rsn, &effect, 2) {
+    for (seg, ok) in segment_verdicts(&rsn, &effect, 2) {
         assert_eq!(ok, seg != leaf, "{}", rsn.node(seg).name());
     }
 }
@@ -104,13 +131,14 @@ fn local_loss_only_affects_the_lost_segment() {
 fn mux_input_edge_fault_verdicts_match_engine() {
     let soc = parse_soc("SocName t\n1 0 0 0 1 : 3\n").expect("parse");
     let rsn = generate(&soc).expect("generate");
+    let engine = AccessEngine::new(&rsn);
     for fault in fault_universe(&rsn) {
         if !matches!(fault.site, FaultSite::MuxInput(..)) {
             continue;
         }
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-        let structural = rsn_fault::accessibility(&rsn, &effect);
-        for (seg, bmc_ok) in bmc_accessibility(&rsn, &effect, 3) {
+        let structural = engine.accessibility(&effect, &mut engine.scratch());
+        for (seg, bmc_ok) in segment_verdicts(&rsn, &effect, 3) {
             assert_eq!(
                 structural.accessible[seg.index()],
                 bmc_ok,

@@ -510,7 +510,8 @@ mod tests {
     fn property_collapsed_warm_sweep_matches_uncollapsed_cold_reference() {
         use crate::effect::effect_of;
         use crate::engine::AccessEngine;
-        use crate::metric::analyze_faults_on;
+        use crate::metric::analyze_classes_on_budget;
+        use rsn_budget::Budget;
 
         let mut rng = Rng(0x5eed_c011_a95e);
         for round in 0..12 {
@@ -561,7 +562,8 @@ mod tests {
                 }
                 // Aggregates of the production sweep must be bit-identical
                 // to this serial cold reference.
-                let report = analyze_faults_on(&engine, &faults, profile, 1);
+                let report =
+                    analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::default());
                 let denom = weight.max(1) as f64;
                 assert_eq!(report.total_weight, weight);
                 assert_eq!(report.worst_segments, worst_seg);

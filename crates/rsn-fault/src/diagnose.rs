@@ -42,16 +42,9 @@ impl Signature {
     }
 
     /// The predicted signature of a fault: the engine's per-segment
-    /// accessibility.
-    pub fn predicted(rsn: &Rsn, fault: &Fault, profile: HardeningProfile) -> Self {
-        let engine = AccessEngine::new(rsn);
-        let mut scratch = engine.scratch();
-        Signature::predicted_on(&engine, &mut scratch, fault, profile)
-    }
-
-    /// [`Signature::predicted`] on a prebuilt [`AccessEngine`] — used by
-    /// [`FaultDictionary::build`] to amortize precomputation over the
-    /// whole fault universe.
+    /// accessibility. Takes a prebuilt [`AccessEngine`] so
+    /// [`FaultDictionary::build`] amortizes precomputation over the whole
+    /// fault universe.
     pub fn predicted_on(
         engine: &AccessEngine,
         scratch: &mut Scratch,
@@ -183,18 +176,22 @@ mod tests {
         let rsn = fig2();
         let profile = HardeningProfile::unhardened();
         let dict = FaultDictionary::build(&rsn, profile);
+        let engine = AccessEngine::new(&rsn);
         let b = rsn.find("B").expect("B");
         let fault = Fault {
             site: FaultSite::SegmentData(b),
             value: false,
             weight: 2,
         };
-        let observed = Signature::predicted(&rsn, &fault, profile);
+        let observed = Signature::predicted_on(&engine, &mut engine.scratch(), &fault, profile);
         let candidates = dict.diagnose(&observed);
         assert!(candidates.contains(&fault));
         // Every candidate must predict the same observation.
         for c in candidates {
-            assert_eq!(Signature::predicted(&rsn, c, profile), observed);
+            assert_eq!(
+                Signature::predicted_on(&engine, &mut engine.scratch(), c, profile),
+                observed
+            );
         }
     }
 
@@ -203,11 +200,12 @@ mod tests {
         let rsn = fig2();
         let profile = HardeningProfile::unhardened();
         let dict = FaultDictionary::build(&rsn, profile);
+        let engine = AccessEngine::new(&rsn);
         let observed = Signature::fault_free(&rsn);
         let candidates = dict.diagnose(&observed);
         assert!(!candidates.is_empty(), "benign faults exist (select-sa1)");
         for c in candidates {
-            let sig = Signature::predicted(&rsn, c, profile);
+            let sig = Signature::predicted_on(&engine, &mut engine.scratch(), c, profile);
             assert_eq!(sig.failures(), 0);
         }
     }
@@ -232,6 +230,7 @@ mod tests {
         let l1 = rsn.find("m1.c0.seg").expect("leaf");
         let l2 = rsn.find("m2.c0.seg").expect("leaf");
         let p = HardeningProfile::unhardened();
+        let engine = AccessEngine::new(&rsn);
         let f1 = Fault {
             site: FaultSite::SegmentData(l1),
             value: false,
@@ -243,8 +242,8 @@ mod tests {
             weight: 2,
         };
         assert_ne!(
-            Signature::predicted(&rsn, &f1, p),
-            Signature::predicted(&rsn, &f2, p)
+            Signature::predicted_on(&engine, &mut engine.scratch(), &f1, p),
+            Signature::predicted_on(&engine, &mut engine.scratch(), &f2, p)
         );
     }
 

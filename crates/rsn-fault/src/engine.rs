@@ -31,10 +31,6 @@
 //! over a flat `Vec<BitState>` instead of hash-map lookups. Per-fault
 //! working memory lives in a caller-owned [`Scratch`] so sweeps over
 //! thousands of faults allocate nothing in the hot loop.
-//!
-//! The free function [`accessibility`] remains as a one-shot convenience
-//! wrapper; any caller evaluating more than one fault should build an
-//! engine and reuse it.
 
 use std::sync::Arc;
 
@@ -1160,41 +1156,6 @@ impl AccessEngine {
     }
 }
 
-/// Computes per-segment accessibility under a fault effect.
-///
-/// One-shot convenience wrapper over [`AccessEngine`]: builds the engine
-/// and a scratch, evaluates one effect, and drops both. Callers
-/// evaluating more than one fault on the same network should build the
-/// engine once and reuse it.
-///
-/// # Example
-///
-/// ```
-/// use rsn_core::examples::fig2;
-/// use rsn_fault::{accessibility, FaultEffect};
-///
-/// let rsn = fig2();
-/// // Fault-free: everything accessible.
-/// let acc = accessibility(&rsn, &FaultEffect::benign());
-/// assert_eq!(acc.segment_fraction(), 1.0);
-/// ```
-pub fn accessibility(rsn: &Rsn, effect: &FaultEffect) -> Accessibility {
-    let engine = AccessEngine::new(rsn);
-    let mut scratch = engine.scratch();
-    engine.accessibility(effect, &mut scratch)
-}
-
-/// Diagnostic snapshot of the engine's internal sets for one fault effect
-/// after the fixed point (see [`AccessEngine::internals`]).
-pub fn engine_internals(
-    rsn: &Rsn,
-    effect: &FaultEffect,
-) -> (Vec<bool>, Vec<bool>, Vec<(NodeId, u32)>) {
-    let engine = AccessEngine::new(rsn);
-    let mut scratch = engine.scratch();
-    engine.internals(effect, &mut scratch)
-}
-
 /// The original HashMap-based accessibility computation, kept verbatim as
 /// a slow reference oracle for the equivalence property tests.
 #[cfg(test)]
@@ -1482,13 +1443,15 @@ mod tests {
 
     fn acc_for(rsn: &Rsn, fault: Fault) -> Accessibility {
         let e = effect_of(rsn, &fault, HardeningProfile::unhardened());
-        accessibility(rsn, &e)
+        let engine = AccessEngine::new(rsn);
+        engine.accessibility(&e, &mut engine.scratch())
     }
 
     #[test]
     fn fault_free_everything_accessible() {
         let rsn = fig2();
-        let acc = accessibility(&rsn, &FaultEffect::benign());
+        let engine = AccessEngine::new(&rsn);
+        let acc = engine.accessibility(&FaultEffect::benign(), &mut engine.scratch());
         assert_eq!(acc.accessible_segments, 4);
         assert_eq!(acc.segment_fraction(), 1.0);
         assert_eq!(acc.bit_fraction(), 1.0);
@@ -1693,7 +1656,8 @@ mod tests {
     #[test]
     fn internals_report_free_bits_in_fault_free_network() {
         let rsn = fig2();
-        let (reach, exit, free) = engine_internals(&rsn, &FaultEffect::benign());
+        let engine = AccessEngine::new(&rsn);
+        let (reach, exit, free) = engine.internals(&FaultEffect::benign(), &mut engine.scratch());
         let a = rsn.find("A").expect("A");
         assert!(reach[a.index()] && exit[a.index()]);
         // A[0] is the only control bit and becomes fully controllable.

@@ -24,11 +24,17 @@
 //! # Example
 //!
 //! ```
+//! use rsn_budget::Budget;
 //! use rsn_core::examples::fig2;
-//! use rsn_fault::{analyze, HardeningProfile};
+//! use rsn_fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 //!
 //! let rsn = fig2();
-//! let report = analyze(&rsn, HardeningProfile::unhardened());
+//! let report = analyze_parallel_budgeted(
+//!     &rsn,
+//!     HardeningProfile::unhardened(),
+//!     WeightModel::Ports,
+//!     &Budget::default(),
+//! );
 //! // Some fault disconnects everything in the unhardened Fig. 2 network.
 //! assert_eq!(report.worst_segments, 0.0);
 //! assert!(report.avg_segments > 0.0 && report.avg_segments < 1.0);
@@ -48,14 +54,11 @@ pub(crate) mod sweep;
 pub use collapse::{ClassKind, FaultClass, FaultClasses};
 pub use diagnose::{FaultDictionary, Signature};
 pub use effect::{effect_of, effect_of_indexed, is_control_segment, ControlBitIndex, FaultEffect};
-pub use engine::{accessibility, AccessEngine, Accessibility, Scratch};
+pub use engine::{AccessEngine, Accessibility, Scratch};
 pub use fault::{fault_universe, fault_universe_weighted, Fault, FaultSite, WeightModel};
 pub use metric::{
-    analyze, analyze_classes_on_budget, analyze_faults_on, analyze_faults_on_budget,
-    analyze_faults_on_budget_uncollapsed, analyze_parallel, analyze_parallel_budgeted,
-    analyze_parallel_budgeted_uncollapsed, analyze_parallel_with, analyze_with,
-    FaultToleranceReport, HardeningProfile,
+    analyze_classes_on_budget, analyze_parallel_budgeted, FaultToleranceReport, HardeningProfile,
 };
-pub use multi::{analyze_double_sampled, analyze_double_sampled_on, DoubleFaultReport};
-pub use plan::{plan_faulty_access, plan_faulty_access_on, plan_targets_on, FaultyAccessPlan};
+pub use multi::{analyze_double_sampled_on, DoubleFaultReport};
+pub use plan::{plan_faulty_access_on, plan_targets_on, FaultyAccessPlan};
 pub use sim::FaultySim;

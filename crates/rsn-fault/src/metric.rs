@@ -99,65 +99,32 @@ impl fmt::Display for FaultToleranceReport {
     }
 }
 
-/// Computes the fault-tolerance metric of a network: for every single
-/// stuck-at fault in the collapsed universe, the fraction of scan segments
-/// and scan bits that remain accessible; aggregated as worst case and
-/// weighted average.
-///
-/// # Example
-///
-/// ```
-/// use rsn_core::examples::chain;
-/// use rsn_fault::{analyze, HardeningProfile};
-///
-/// // A flat chain has no redundancy: any data fault kills everything
-/// // downstream and upstream (single path), so the worst case is 0.
-/// let report = analyze(&chain(4, 8), HardeningProfile::unhardened());
-/// assert_eq!(report.worst_segments, 0.0);
-/// ```
-pub fn analyze(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
-    analyze_with(rsn, profile, WeightModel::Ports)
+/// Per-class sweep outcome, expanded over members during aggregation.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Evaluated(f64, f64),
+    Quarantined,
+    Skipped,
 }
 
-/// [`analyze`] with an explicit fault-class [`WeightModel`].
-pub fn analyze_with(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-) -> FaultToleranceReport {
-    let _span = rsn_obs::Span::enter("analyze");
-    let faults = fault_universe_weighted(rsn, model);
-    let engine = AccessEngine::new(rsn);
-    analyze_faults_on(&engine, &faults, profile, 1)
-}
-
-/// Computes the metric over an explicit fault list on a prebuilt engine
-/// with `threads` workers sharing it (one [`Scratch`](crate::Scratch)
-/// each). Exposed so
-/// callers that already hold an [`AccessEngine`] — hardening selection,
-/// benchmarks — skip the per-call precomputation entirely.
-pub fn analyze_faults_on(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-) -> FaultToleranceReport {
-    analyze_faults_on_budget(engine, faults, profile, threads, &Budget::unlimited())
-}
-
-/// [`analyze_faults_on`] bounded by a [`Budget`] shared across all
-/// workers (their combined work counts against one limit; one work unit
-/// per fault, charged per class before its representative runs).
+/// Computes the fault-tolerance metric over an explicit fault list and a
+/// prebuilt class partition on a prebuilt engine, with `threads` workers
+/// sharing it (one [`Scratch`](crate::Scratch) each), bounded by a
+/// [`Budget`] shared across all workers (their combined work counts
+/// against one limit; one work unit per fault, charged per class before
+/// its representative runs). Callers that already hold an
+/// [`AccessEngine`] — hardening selection, benchmarks — skip the per-call
+/// precomputation entirely.
 ///
-/// The universe is first partitioned into equivalence classes
-/// ([`FaultClasses::build`]) and one representative per class is
-/// evaluated by a work-stealing scheduler (workers claim small batches
-/// from a shared cursor — the crate-private `sweep` module). Results are
-/// then
-/// expanded back over class members *serially in original fault order*,
-/// which makes every aggregate — including the f64 summation order and
-/// the `worst_fault` witness — bit-identical to an uncollapsed
-/// single-threaded sweep, independent of thread count.
+/// The partition comes from [`FaultClasses::build`] (collapsed) or
+/// [`FaultClasses::uncollapsed`] (one singleton class per fault, the
+/// reference the property tests compare against). One representative
+/// per class is evaluated by a work-stealing scheduler (workers claim
+/// small batches from a shared cursor — the crate-private `sweep`
+/// module). Results are then expanded back over class members *serially
+/// in original fault order*, which makes every aggregate — including the
+/// f64 summation order and the `worst_fault` witness — bit-identical to
+/// an uncollapsed single-threaded sweep, independent of thread count.
 ///
 /// Degradation is fail-soft on two axes:
 ///
@@ -170,40 +137,6 @@ pub fn analyze_faults_on(
 ///   ([`FaultToleranceReport::quarantined`], counter
 ///   `fault.quarantined`) and the worker continues with a fresh
 ///   [`crate::Scratch`] instead of poisoning the whole run.
-pub fn analyze_faults_on_budget(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    let classes = FaultClasses::build(engine.rsn(), faults, profile);
-    analyze_classes_on_budget(engine, faults, &classes, threads, budget)
-}
-
-/// [`analyze_faults_on_budget`] without fault collapsing: one singleton
-/// class per fault, preserving the legacy one-unit-per-fault budget
-/// prefix semantics exactly. The `--no-collapse` escape hatch.
-pub fn analyze_faults_on_budget_uncollapsed(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    let classes = FaultClasses::uncollapsed(engine.rsn(), faults, profile);
-    analyze_classes_on_budget(engine, faults, &classes, threads, budget)
-}
-
-/// Per-class sweep outcome, expanded over members during aggregation.
-#[derive(Debug, Clone, Copy)]
-enum Outcome {
-    Evaluated(f64, f64),
-    Quarantined,
-    Skipped,
-}
-
-/// Evaluates a prebuilt class partition over `faults` and aggregates.
 pub fn analyze_classes_on_budget(
     engine: &AccessEngine,
     faults: &[Fault],
@@ -327,63 +260,48 @@ pub fn analyze_classes_on_budget(
     }
 }
 
-/// Multi-threaded version of [`analyze`]: up to
-/// [`rsn_budget::default_threads`] (the `RSN_THREADS` env knob) workers
-/// share one
-/// [`AccessEngine`] (one [`crate::Scratch`] per worker) and steal class
-/// batches from a shared cursor. Reports are bit-identical to the
-/// sequential version, including the `worst_fault` witness.
-pub fn analyze_parallel(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
-    analyze_parallel_with(rsn, profile, WeightModel::Ports)
-}
-
-/// [`analyze_parallel`] with an explicit fault-class [`WeightModel`].
-pub fn analyze_parallel_with(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-) -> FaultToleranceReport {
-    analyze_parallel_budgeted(rsn, profile, model, &Budget::unlimited())
-}
-
-/// [`analyze_parallel_with`] bounded by a [`Budget`] (see
-/// [`analyze_faults_on_budget`] for the degradation semantics).
+/// Computes the fault-tolerance metric of a network: for every single
+/// stuck-at fault in the collapsed universe (weighted by `model`), the
+/// fraction of scan segments and scan bits that remain accessible;
+/// aggregated as worst case and weighted average. Bounded by a
+/// [`Budget`] (see [`analyze_classes_on_budget`] for the degradation
+/// semantics); pass `&Budget::default()` for no limit.
+///
+/// Up to [`rsn_budget::default_threads`] (the `RSN_THREADS` env knob)
+/// workers share one [`AccessEngine`] (one [`crate::Scratch`] per worker)
+/// and steal class batches from a shared cursor. Reports are
+/// bit-identical at any thread count, including the `worst_fault`
+/// witness.
+///
+/// # Example
+///
+/// ```
+/// use rsn_budget::Budget;
+/// use rsn_core::examples::chain;
+/// use rsn_fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
+///
+/// // A flat chain has no redundancy: any data fault kills everything
+/// // downstream and upstream (single path), so the worst case is 0.
+/// let report = analyze_parallel_budgeted(
+///     &chain(4, 8),
+///     HardeningProfile::unhardened(),
+///     WeightModel::Ports,
+///     &Budget::default(),
+/// );
+/// assert_eq!(report.worst_segments, 0.0);
+/// ```
 pub fn analyze_parallel_budgeted(
     rsn: &Rsn,
     profile: HardeningProfile,
     model: WeightModel,
     budget: &Budget,
 ) -> FaultToleranceReport {
-    analyze_parallel_impl(rsn, profile, model, budget, true)
-}
-
-/// [`analyze_parallel_budgeted`] with fault collapsing switched off —
-/// every fault evaluated individually (`--no-collapse` escape hatch).
-pub fn analyze_parallel_budgeted_uncollapsed(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    analyze_parallel_impl(rsn, profile, model, budget, false)
-}
-
-fn analyze_parallel_impl(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-    budget: &Budget,
-    collapse: bool,
-) -> FaultToleranceReport {
     let _span = rsn_obs::Span::enter("analyze_parallel");
     let faults = fault_universe_weighted(rsn, model);
     let threads = rsn_budget::default_threads().min(16);
     let engine = AccessEngine::new(rsn);
-    if collapse {
-        analyze_faults_on_budget(&engine, &faults, profile, threads, budget)
-    } else {
-        analyze_faults_on_budget_uncollapsed(&engine, &faults, profile, threads, budget)
-    }
+    let classes = FaultClasses::build(rsn, &faults, profile);
+    analyze_classes_on_budget(&engine, &faults, &classes, threads, budget)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -420,9 +338,14 @@ mod tests {
     use rsn_itc02::by_name;
     use rsn_sib::generate;
 
+    /// The port-weighted metric of `rsn` without a budget limit.
+    fn metric(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
+        analyze_parallel_budgeted(rsn, profile, WeightModel::Ports, &Budget::default())
+    }
+
     #[test]
     fn chain_worst_case_is_zero() {
-        let report = analyze(&chain(3, 4), HardeningProfile::unhardened());
+        let report = metric(&chain(3, 4), HardeningProfile::unhardened());
         assert_eq!(report.worst_segments, 0.0);
         assert_eq!(report.worst_bits, 0.0);
         assert!(report.worst_fault.is_some());
@@ -432,7 +355,7 @@ mod tests {
 
     #[test]
     fn fig2_average_reflects_partial_redundancy() {
-        let report = analyze(&fig2(), HardeningProfile::unhardened());
+        let report = metric(&fig2(), HardeningProfile::unhardened());
         // B and C are each avoidable; A and D are single points of failure.
         assert_eq!(report.worst_segments, 0.0);
         assert!(report.avg_segments > 0.3, "{report}");
@@ -441,7 +364,7 @@ mod tests {
 
     #[test]
     fn report_display_mentions_fault_count() {
-        let report = analyze(&chain(2, 2), HardeningProfile::unhardened());
+        let report = metric(&chain(2, 2), HardeningProfile::unhardened());
         let s = report.to_string();
         assert!(s.contains("faults"), "{s}");
     }
@@ -452,7 +375,7 @@ mod tests {
         // disconnection (0.00, as in Table I), average in a plausible band.
         let soc = by_name("q12710").expect("embedded");
         let rsn = generate(&soc).expect("generate");
-        let report = analyze(&rsn, HardeningProfile::unhardened());
+        let report = metric(&rsn, HardeningProfile::unhardened());
         assert_eq!(report.worst_segments, 0.0, "{report}");
         assert_eq!(report.worst_bits, 0.0);
         assert!(
@@ -465,8 +388,8 @@ mod tests {
     fn hardened_profile_improves_average() {
         let soc = by_name("q12710").expect("embedded");
         let rsn = generate(&soc).expect("generate");
-        let plain = analyze(&rsn, HardeningProfile::unhardened());
-        let hard = analyze(&rsn, HardeningProfile::hardened());
+        let plain = metric(&rsn, HardeningProfile::unhardened());
+        let hard = metric(&rsn, HardeningProfile::hardened());
         assert!(hard.avg_segments >= plain.avg_segments);
     }
 
@@ -487,9 +410,9 @@ mod tests {
         let rsn = fig2();
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
+        let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
         let budget = Budget::unlimited().with_work_limit(0);
-        let report =
-            analyze_faults_on_budget(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
+        let report = analyze_classes_on_budget(&engine, &faults, &classes, 1, &budget);
         assert_eq!(report.skipped, faults.len());
         assert_eq!(report.total_weight, 0, "nothing evaluated");
         assert!(!report.is_complete());
@@ -505,17 +428,23 @@ mod tests {
         let budget = Budget::unlimited().with_work_limit(4);
         // Uncollapsed: one unit per fault, so exactly the first 4 faults
         // are admitted and the rest skipped.
-        let report = analyze_faults_on_budget_uncollapsed(
+        let report = analyze_classes_on_budget(
             &engine,
             &faults,
-            HardeningProfile::unhardened(),
+            &FaultClasses::uncollapsed(&rsn, &faults, HardeningProfile::unhardened()),
             1,
             &budget,
         );
         // 4 admitted checks → 4 evaluated, rest skipped; the evaluated
         // prefix aggregates match a run over just that prefix.
         assert_eq!(report.skipped, faults.len() - 4);
-        let prefix = analyze_faults_on(&engine, &faults[..4], HardeningProfile::unhardened(), 1);
+        let prefix = analyze_classes_on_budget(
+            &engine,
+            &faults[..4],
+            &FaultClasses::build(&rsn, &faults[..4], HardeningProfile::unhardened()),
+            1,
+            &Budget::default(),
+        );
         assert_eq!(report.total_weight, prefix.total_weight);
         assert_eq!(report.worst_segments, prefix.worst_segments);
         assert_eq!(report.avg_bits, prefix.avg_bits);
@@ -548,8 +477,7 @@ mod tests {
             }
         }
         let budget = Budget::unlimited().with_work_limit(1);
-        let report =
-            analyze_faults_on_budget(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
+        let report = analyze_classes_on_budget(&engine, &faults, &classes, 1, &budget);
         assert_eq!(report.skipped, expect_skipped);
         assert!(report.skipped > 0, "1 unit cannot cover fig2");
         assert_eq!(report.quarantined, 0);
@@ -562,8 +490,9 @@ mod tests {
         let rsn = generate(&soc).expect("generate");
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
-        let serial = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 1);
-        let parallel = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 4);
+        let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
+        let serial = analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::default());
+        let parallel = analyze_classes_on_budget(&engine, &faults, &classes, 4, &Budget::default());
         // PartialEq compares every f64 exactly: serial re-aggregation in
         // fault order makes the sweep bit-identical at any thread count.
         assert_eq!(serial, parallel);
@@ -576,11 +505,17 @@ mod tests {
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
         for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
-            let collapsed = analyze_faults_on(&engine, &faults, profile, 1);
-            let reference = analyze_faults_on_budget_uncollapsed(
+            let collapsed = analyze_classes_on_budget(
                 &engine,
                 &faults,
-                profile,
+                &FaultClasses::build(&rsn, &faults, profile),
+                1,
+                &Budget::default(),
+            );
+            let reference = analyze_classes_on_budget(
+                &engine,
+                &faults,
+                &FaultClasses::uncollapsed(&rsn, &faults, profile),
                 1,
                 &Budget::unlimited(),
             );
@@ -602,7 +537,7 @@ mod tests {
         use rsn_core::NodeId;
         let rsn = fig2();
         let mut faults = crate::fault::fault_universe(&rsn);
-        let clean = analyze(&rsn, HardeningProfile::unhardened());
+        let clean = metric(&rsn, HardeningProfile::unhardened());
         // A fault pointing at a nonexistent node makes effect_of index out
         // of bounds — exactly the class of bug quarantine must contain.
         let poison = Fault {
@@ -612,14 +547,9 @@ mod tests {
         };
         faults.insert(faults.len() / 2, poison);
         let engine = AccessEngine::new(&rsn);
+        let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
         let report = with_quiet_panics(|| {
-            analyze_faults_on_budget(
-                &engine,
-                &faults,
-                HardeningProfile::unhardened(),
-                1,
-                &Budget::unlimited(),
-            )
+            analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited())
         });
         assert_eq!(report.quarantined, 1);
         assert_eq!(report.skipped, 0);
@@ -646,17 +576,12 @@ mod tests {
             );
         }
         let engine = AccessEngine::new(&rsn);
+        let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
         let report = with_quiet_panics(|| {
-            analyze_faults_on_budget(
-                &engine,
-                &faults,
-                HardeningProfile::unhardened(),
-                4,
-                &Budget::unlimited(),
-            )
+            analyze_classes_on_budget(&engine, &faults, &classes, 4, &Budget::unlimited())
         });
         assert_eq!(report.quarantined, 3);
-        let clean = analyze(&rsn, HardeningProfile::unhardened());
+        let clean = metric(&rsn, HardeningProfile::unhardened());
         assert_eq!(report.total_weight, clean.total_weight);
     }
 
@@ -665,14 +590,10 @@ mod tests {
         let rsn = fig2();
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
-        let plain = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 2);
-        let budgeted = analyze_faults_on_budget(
-            &engine,
-            &faults,
-            HardeningProfile::unhardened(),
-            2,
-            &Budget::unlimited(),
-        );
+        let classes = FaultClasses::build(&rsn, &faults, HardeningProfile::unhardened());
+        let plain = analyze_classes_on_budget(&engine, &faults, &classes, 2, &Budget::default());
+        let budgeted =
+            analyze_classes_on_budget(&engine, &faults, &classes, 2, &Budget::unlimited());
         assert_eq!(plain, budgeted);
         assert!(plain.is_complete());
     }
@@ -680,7 +601,7 @@ mod tests {
     #[test]
     fn weights_sum_matches_universe() {
         let rsn = fig2();
-        let report = analyze(&rsn, HardeningProfile::unhardened());
+        let report = metric(&rsn, HardeningProfile::unhardened());
         let expected: u64 = crate::fault::fault_universe(&rsn)
             .iter()
             .map(|f| f.weight as u64)

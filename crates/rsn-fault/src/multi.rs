@@ -9,8 +9,6 @@
 //! accessibility engine, with deterministic sampling to keep the O(F²)
 //! pair space tractable.
 
-use rsn_core::Rsn;
-
 use crate::effect::{effect_of, FaultEffect};
 use crate::engine::AccessEngine;
 use crate::fault::{fault_universe, Fault};
@@ -60,35 +58,27 @@ pub struct DoubleFaultReport {
 }
 
 /// Evaluates a deterministic sample of fault pairs: every `stride`-th pair
-/// of the cross product in a fixed interleaving.
+/// of the cross product in a fixed interleaving, on a prebuilt
+/// [`AccessEngine`] — the pair sweep is quadratic in the fault universe,
+/// so reusing the engine's precomputation matters more here than
+/// anywhere else.
+///
+/// The sampled pairs are evaluated by the shared work-stealing scheduler
+/// (one [`crate::Scratch`] per worker) and aggregated serially in sample
+/// order, so the report is bit-identical at any worker count.
 ///
 /// # Example
 ///
 /// ```
 /// use rsn_core::examples::fig2;
-/// use rsn_fault::multi::analyze_double_sampled;
-/// use rsn_fault::HardeningProfile;
+/// use rsn_fault::multi::analyze_double_sampled_on;
+/// use rsn_fault::{AccessEngine, HardeningProfile};
 ///
-/// let report = analyze_double_sampled(&fig2(), HardeningProfile::unhardened(), 7);
+/// let engine = AccessEngine::new(&fig2());
+/// let report = analyze_double_sampled_on(&engine, HardeningProfile::unhardened(), 7);
 /// assert!(report.pairs > 0);
 /// assert!(report.worst_segments <= report.avg_segments);
 /// ```
-pub fn analyze_double_sampled(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    stride: usize,
-) -> DoubleFaultReport {
-    let engine = AccessEngine::new(rsn);
-    analyze_double_sampled_on(&engine, profile, stride)
-}
-
-/// [`analyze_double_sampled`] on a prebuilt [`AccessEngine`] — the pair
-/// sweep is quadratic in the fault universe, so reusing the engine's
-/// precomputation matters more here than anywhere else.
-///
-/// The sampled pairs are evaluated by the shared work-stealing scheduler
-/// (one [`crate::Scratch`] per worker) and aggregated serially in sample
-/// order, so the report is bit-identical at any worker count.
 pub fn analyze_double_sampled_on(
     engine: &AccessEngine,
     profile: HardeningProfile,
@@ -157,7 +147,6 @@ pub fn analyze_double_sampled_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::accessibility;
     use rsn_core::examples::fig2;
     use rsn_itc02::parse_soc;
     use rsn_sib::generate;
@@ -179,13 +168,18 @@ mod tests {
         let rsn = fig2();
         let profile = HardeningProfile::unhardened();
         let faults = fault_universe(&rsn);
+        let engine = AccessEngine::new(&rsn);
         for i in (0..faults.len()).step_by(5) {
             for j in ((i + 1)..faults.len()).step_by(7) {
                 let a = effect_of(&rsn, &faults[i], profile);
                 let b = effect_of(&rsn, &faults[j], profile);
-                let single = accessibility(&rsn, &a).segment_fraction();
+                let single = engine
+                    .accessibility(&a, &mut engine.scratch())
+                    .segment_fraction();
                 let combined = combine_effects(&a, &b);
-                let double = accessibility(&rsn, &combined).segment_fraction();
+                let double = engine
+                    .accessibility(&combined, &mut engine.scratch())
+                    .segment_fraction();
                 assert!(
                     double <= single + 1e-12,
                     "pair ({}, {}) improved accessibility",
@@ -201,8 +195,13 @@ mod tests {
         let soc = parse_soc("SocName t\n1 0 0 0 2 : 4 4\n2 0 0 0 1 : 4\n").expect("parse");
         let rsn = generate(&soc).expect("generate");
         let ft = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        let orig = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 11);
-        let hard = analyze_double_sampled(&ft.rsn, HardeningProfile::hardened(), 11);
+        let orig =
+            analyze_double_sampled_on(&AccessEngine::new(&rsn), HardeningProfile::unhardened(), 11);
+        let hard = analyze_double_sampled_on(
+            &AccessEngine::new(&ft.rsn),
+            HardeningProfile::hardened(),
+            11,
+        );
         // The FT network's double-fault average beats the original's.
         assert!(
             hard.avg_segments > orig.avg_segments,
@@ -291,7 +290,8 @@ mod tests {
     #[test]
     fn fig2_dense_double_fault_sweep_golden() {
         let rsn = fig2();
-        let report = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 1);
+        let report =
+            analyze_double_sampled_on(&AccessEngine::new(&rsn), HardeningProfile::unhardened(), 1);
         let n = fault_universe(&rsn).len();
         assert_eq!(report.pairs, n * (n - 1) / 2);
         // Any pair involving a data fault on A disconnects everything.
@@ -310,15 +310,18 @@ mod tests {
         let rsn = fig2();
         let engine = AccessEngine::new(&rsn);
         let via_engine = analyze_double_sampled_on(&engine, HardeningProfile::unhardened(), 3);
-        let one_shot = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 3);
+        let one_shot =
+            analyze_double_sampled_on(&AccessEngine::new(&rsn), HardeningProfile::unhardened(), 3);
         assert_eq!(via_engine, one_shot);
     }
 
     #[test]
     fn stride_controls_sample_size() {
         let rsn = fig2();
-        let dense = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 1);
-        let sparse = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 13);
+        let dense =
+            analyze_double_sampled_on(&AccessEngine::new(&rsn), HardeningProfile::unhardened(), 1);
+        let sparse =
+            analyze_double_sampled_on(&AccessEngine::new(&rsn), HardeningProfile::unhardened(), 13);
         assert!(dense.pairs > sparse.pairs);
         let n = fault_universe(&rsn).len();
         assert_eq!(dense.pairs, n * (n - 1) / 2);

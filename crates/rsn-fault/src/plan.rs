@@ -276,23 +276,14 @@ fn clean_path(engine: &AccessEngine, effect: &FaultEffect, target: NodeId) -> Op
     Some(prefix)
 }
 
-/// Plans a clean-write access to `target` in the faulty network.
+/// Plans a clean-write access to `target` in the faulty network on a
+/// prebuilt [`AccessEngine`], reusing its cached reset configuration and
+/// root/sink lists across many planning calls (one per fault × segment
+/// in repair sweeps).
 ///
 /// Returns `None` when the target is not accessible with a clean-write
 /// strategy (in particular when recovery would require exploiting dirty
 /// writes, which the planner deliberately avoids).
-pub fn plan_faulty_access(
-    rsn: &Rsn,
-    effect: &FaultEffect,
-    target: NodeId,
-) -> Option<FaultyAccessPlan> {
-    let engine = AccessEngine::new(rsn);
-    plan_faulty_access_on(&engine, effect, target)
-}
-
-/// [`plan_faulty_access`] on a prebuilt [`AccessEngine`], reusing its
-/// cached reset configuration and root/sink lists across many planning
-/// calls (one per fault × segment in repair sweeps).
 pub fn plan_faulty_access_on(
     engine: &AccessEngine,
     effect: &FaultEffect,
@@ -482,7 +473,8 @@ mod tests {
             weight: 2,
         };
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-        let plan = plan_faulty_access(&rsn, &effect, c).expect("C reachable via its branch");
+        let plan = plan_faulty_access_on(&AccessEngine::new(&rsn), &effect, c)
+            .expect("C reachable via its branch");
         assert!(!plan.path.contains(&b), "plan must avoid the fault site");
         assert!(execute_and_verify(&rsn, fault, &plan), "sim round trip");
     }
@@ -543,10 +535,11 @@ mod tests {
         };
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
         // Address stuck at 0: B stays reachable, C does not.
-        let plan = plan_faulty_access(&rsn, &effect, b).expect("B plannable");
+        let plan =
+            plan_faulty_access_on(&AccessEngine::new(&rsn), &effect, b).expect("B plannable");
         assert!(plan.path.contains(&b));
         let c = rsn.find("C").expect("C");
-        assert!(plan_faulty_access(&rsn, &effect, c).is_none());
+        assert!(plan_faulty_access_on(&AccessEngine::new(&rsn), &effect, c).is_none());
     }
 
     #[test]
@@ -554,7 +547,7 @@ mod tests {
         let soc = parse_soc("SocName t\n1 0 0 0 2 : 3 2\n").expect("parse");
         let rsn = generate(&soc).expect("generate");
         for seg in rsn.segments() {
-            let plan = plan_faulty_access(&rsn, &FaultEffect::benign(), seg);
+            let plan = plan_faulty_access_on(&AccessEngine::new(&rsn), &FaultEffect::benign(), seg);
             assert!(plan.is_some(), "{} must be plannable", rsn.node(seg).name());
         }
     }

@@ -4,7 +4,7 @@
 //! two-phase simplex and the tree is explored best-first (lowest LP bound
 //! first). Lazily separated constraints — the subtour-elimination cuts of
 //! the RSN augmentation ILP — are added through
-//! [`solve_ilp_with_cuts`], mirroring the "lazy constraints" interface of
+//! [`solve_ilp_with_cuts_under`], mirroring the "lazy constraints" interface of
 //! commercial solvers.
 
 use std::cmp::Ordering;
@@ -60,7 +60,7 @@ pub struct IlpSolution {
     /// re-solves when lazy cuts are in play).
     pub nodes: u64,
     /// Number of lazy-cut rounds that added at least one cut (0 for plain
-    /// `solve_ilp`).
+    /// `solve_ilp_under`).
     pub cut_rounds: u32,
     /// Total simplex iterations across every LP relaxation solved.
     pub simplex_iters: u64,
@@ -127,24 +127,12 @@ fn lp_with_fixings(problem: &Problem, fixings: &[(VarId, f64)], iters: &mut u64)
     outcome
 }
 
-/// Solves a minimization 0/1 ILP to optimality by branch & bound.
-///
-/// # Errors
-///
-/// * [`IlpError::Infeasible`] if no integral solution exists.
-/// * [`IlpError::Unbounded`] if the relaxation is unbounded.
-/// * [`IlpError::NodeLimit`] after 200 000 nodes without *any* feasible
-///   solution; if an incumbent exists it is returned instead, flagged
-///   [`IlpSolution::proven_optimal`] `false`.
+/// Solves a minimization 0/1 ILP to optimality by branch & bound,
+/// bounded by a [`Budget`] (pass `&Budget::default()` for no limit).
 ///
 /// Each call exports `ilp.solves` and `ilp.nodes` into the global
 /// `rsn-obs` registry (simplex iteration counters are exported by the LP
 /// layer underneath).
-pub fn solve_ilp(problem: &Problem) -> Result<IlpSolution, IlpError> {
-    solve_ilp_under(problem, &Budget::unlimited())
-}
-
-/// Like [`solve_ilp`], bounded by a [`Budget`].
 ///
 /// One work unit is spent per branch-and-bound node, so a work-unit
 /// limit bounds the tree size and a deadline is honoured within one
@@ -155,8 +143,13 @@ pub fn solve_ilp(problem: &Problem) -> Result<IlpSolution, IlpError> {
 ///
 /// # Errors
 ///
-/// Those of [`solve_ilp`], plus [`IlpError::Budget`] when the budget ran
-/// out before any feasible solution was found.
+/// * [`IlpError::Infeasible`] if no integral solution exists.
+/// * [`IlpError::Unbounded`] if the relaxation is unbounded.
+/// * [`IlpError::NodeLimit`] after 200 000 nodes without *any* feasible
+///   solution; if an incumbent exists it is returned instead, flagged
+///   [`IlpSolution::proven_optimal`] `false`.
+/// * [`IlpError::Budget`] when the budget ran out before any feasible
+///   solution was found.
 pub fn solve_ilp_under(problem: &Problem, budget: &Budget) -> Result<IlpSolution, IlpError> {
     // Chaos failpoint: injected errors / budget exhaustion cancel the
     // caller's budget so the search degrades (incumbent kept, or
@@ -330,28 +323,16 @@ fn solve_ilp_impl(
 /// subtour-elimination constraints in the RSN augmentation ILP (paper
 /// eq. 4): only cuts violated by an actual solution are materialized.
 ///
-/// # Errors
-///
-/// Same as [`solve_ilp`], plus termination after 1000 cut rounds is
-/// reported as [`IlpError::NodeLimit`].
-pub fn solve_ilp_with_cuts(
-    problem: &Problem,
-    separate: impl FnMut(&[f64]) -> Vec<Constraint>,
-) -> Result<IlpSolution, IlpError> {
-    solve_ilp_with_cuts_under(problem, separate, &Budget::unlimited())
-}
-
-/// Like [`solve_ilp_with_cuts`], bounded by a [`Budget`] shared across
-/// all cut rounds.
-///
-/// An incumbent returned under exhaustion satisfies every *separated*
+/// Bounded by a [`Budget`] shared across all cut rounds. An incumbent
+/// returned under exhaustion satisfies every *separated*
 /// constraint: if the budget trips mid-round and the unproven incumbent
 /// still violates lazy cuts, it is unusable for the full model and the
 /// call fails with [`IlpError::Budget`] instead of returning it.
 ///
 /// # Errors
 ///
-/// Those of [`solve_ilp_with_cuts`], plus [`IlpError::Budget`] when the
+/// Those of [`solve_ilp_under`] (termination after 1000 cut rounds is
+/// reported as [`IlpError::NodeLimit`]); [`IlpError::Budget`] means the
 /// budget ran out before any fully lazily-feasible solution was found.
 pub fn solve_ilp_with_cuts_under(
     problem: &Problem,
@@ -403,7 +384,7 @@ mod tests {
         let x1 = p.add_binary_var("x1", -13.0);
         let x2 = p.add_binary_var("x2", -7.0);
         p.add_le([(x0, 3.0), (x1, 4.0), (x2, 2.0)], 6.0);
-        let sol = solve_ilp(&p).expect("solvable");
+        let sol = solve_ilp_under(&p, &Budget::default()).expect("solvable");
         assert!((sol.objective + 20.0).abs() < 1e-6);
         assert!(!sol.is_set(x0));
         assert!(sol.is_set(x1));
@@ -420,7 +401,7 @@ mod tests {
         for (a, b) in [(0, 1), (1, 2), (0, 2)] {
             p.add_ge([(v[a], 1.0), (v[b], 1.0)], 1.0);
         }
-        let sol = solve_ilp(&p).expect("solvable");
+        let sol = solve_ilp_under(&p, &Budget::default()).expect("solvable");
         assert!((sol.objective - 2.0).abs() < 1e-6);
     }
 
@@ -430,7 +411,10 @@ mod tests {
         let x = p.add_binary_var("x", 1.0);
         let y = p.add_binary_var("y", 1.0);
         p.add_ge([(x, 1.0), (y, 1.0)], 3.0); // max achievable is 2
-        assert_eq!(solve_ilp(&p), Err(IlpError::Infeasible));
+        assert_eq!(
+            solve_ilp_under(&p, &Budget::default()),
+            Err(IlpError::Infeasible)
+        );
     }
 
     #[test]
@@ -440,7 +424,7 @@ mod tests {
         let x = p.add_binary_var("x", 1.0);
         let y = p.add_binary_var("y", 1.0);
         p.add_ge([(x, 2.0), (y, 2.0)], 3.0);
-        let sol = solve_ilp(&p).expect("solvable");
+        let sol = solve_ilp_under(&p, &Budget::default()).expect("solvable");
         assert!((sol.objective - 2.0).abs() < 1e-6);
         assert!(sol.is_set(x) && sol.is_set(y));
     }
@@ -453,7 +437,7 @@ mod tests {
         let x = p.add_var("x", 1.0, None);
         let y = p.add_binary_var("y", 1.0);
         p.add_ge([(x, 1.0), (y, 2.0)], 2.5);
-        let sol = solve_ilp(&p).expect("solvable");
+        let sol = solve_ilp_under(&p, &Budget::default()).expect("solvable");
         assert!((sol.objective - 1.5).abs() < 1e-6, "{}", sol.objective);
         assert!(sol.is_set(y));
         assert!((sol.value(x) - 0.5).abs() < 1e-6);
@@ -468,18 +452,22 @@ mod tests {
             .map(|i| p.add_binary_var(format!("x{i}"), -1.0))
             .collect();
         let vs = v.clone();
-        let sol = solve_ilp_with_cuts(&p, move |x| {
-            let total: f64 = vs.iter().map(|&v| x[v.index()]).sum();
-            if total > 2.5 {
-                vec![Constraint {
-                    terms: vs.iter().map(|&v| (v, 1.0)).collect(),
-                    op: ConstraintOp::Le,
-                    rhs: 2.0,
-                }]
-            } else {
-                Vec::new()
-            }
-        })
+        let sol = solve_ilp_with_cuts_under(
+            &p,
+            move |x| {
+                let total: f64 = vs.iter().map(|&v| x[v.index()]).sum();
+                if total > 2.5 {
+                    vec![Constraint {
+                        terms: vs.iter().map(|&v| (v, 1.0)).collect(),
+                        op: ConstraintOp::Le,
+                        rhs: 2.0,
+                    }]
+                } else {
+                    Vec::new()
+                }
+            },
+            &Budget::default(),
+        )
         .expect("solvable");
         assert!((sol.objective + 2.0).abs() < 1e-6);
         assert_eq!(sol.cut_rounds, 1);
@@ -506,7 +494,7 @@ mod tests {
         // error (no incumbent yet) or a *feasible* solution, and once the
         // limit stops binding the solution must be proven optimal.
         let (p, optimum) = knapsack();
-        let unconstrained = solve_ilp(&p).expect("solvable");
+        let unconstrained = solve_ilp_under(&p, &Budget::default()).expect("solvable");
         assert!(unconstrained.proven_optimal);
         let mut saw_unproven = false;
         for limit in 1..=unconstrained.nodes + 1 {
@@ -633,7 +621,7 @@ mod tests {
                     best = Some(best.map_or(obj, |b: f64| b.min(obj)));
                 }
             }
-            match (solve_ilp(&p), best) {
+            match (solve_ilp_under(&p, &Budget::default()), best) {
                 (Ok(sol), Some(b)) => {
                     assert!(
                         (sol.objective - b).abs() < 1e-5,

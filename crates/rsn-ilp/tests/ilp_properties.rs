@@ -4,7 +4,8 @@
 //! generator so the workspace carries no external dependencies and every
 //! run exercises the same cases.
 
-use rsn_ilp::{solve_ilp, solve_lp, IlpError, LpOutcome, Problem, VarId};
+use rsn_budget::Budget;
+use rsn_ilp::{solve_ilp_under, solve_lp, IlpError, LpOutcome, Problem, VarId};
 
 struct Rng(u64);
 
@@ -95,7 +96,7 @@ fn ilp_matches_exhaustive_enumeration() {
                 best = Some(best.map_or(v, |b: f64| b.min(v)));
             }
         }
-        match (solve_ilp(&p), best) {
+        match (solve_ilp_under(&p, &Budget::default()), best) {
             (Ok(sol), Some(b)) => {
                 assert!(
                     (sol.objective - b).abs() < 1e-5,
@@ -131,7 +132,9 @@ fn lp_relaxation_bounds_the_ilp() {
             LpOutcome::Optimal { objective, .. } => objective,
             other => panic!("lp must solve: {other:?}"),
         };
-        let ilp = solve_ilp(&p).expect("feasible").objective;
+        let ilp = solve_ilp_under(&p, &Budget::default())
+            .expect("feasible")
+            .objective;
         assert!(lp <= ilp + 1e-6, "lp {lp} must lower-bound ilp {ilp}");
     }
 }
@@ -144,7 +147,7 @@ fn solution_telemetry_is_populated() {
     let x = p.add_binary_var("x", 1.0);
     let y = p.add_binary_var("y", 1.0);
     p.add_ge([(x, 2.0), (y, 2.0)], 3.0);
-    let sol = solve_ilp(&p).expect("solvable");
+    let sol = solve_ilp_under(&p, &Budget::default()).expect("solvable");
     assert!(sol.nodes >= 1, "nodes {}", sol.nodes);
     assert!(sol.simplex_iters >= 1, "iters {}", sol.simplex_iters);
     assert_eq!(sol.cut_rounds, 0, "plain solve performs no cut rounds");

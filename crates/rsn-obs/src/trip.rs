@@ -82,9 +82,15 @@ pub(crate) fn reset_trips() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The trip buffer is process-global: tests touching it run one at a
+    /// time, or one test's trips land in the other's assertions.
+    static TRIPS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn records_and_caps() {
+        let _guard = TRIPS.lock().unwrap_or_else(PoisonError::into_inner);
         reset_trips();
         for _ in 0..(MAX_BUDGET_TRIPS + 5) {
             record_budget_trip("sat", "deadline");
@@ -99,6 +105,7 @@ mod tests {
 
     #[test]
     fn captures_live_span_path() {
+        let _guard = TRIPS.lock().unwrap_or_else(PoisonError::into_inner);
         reset_trips();
         {
             let _outer = crate::Span::enter("trip_outer");

@@ -12,14 +12,15 @@ use crate::solver::Solver;
 /// # Example
 ///
 /// ```
-/// use rsn_sat::{CnfBuilder, Lit};
+/// use rsn_budget::Budget;
+/// use rsn_sat::{CnfBuilder, Lit, SolveOutcome};
 ///
 /// let mut cnf = CnfBuilder::new();
 /// let a = cnf.new_lit();
 /// let b = cnf.new_lit();
 /// let and = cnf.and([a, b]);
 /// cnf.assert_lit(and);
-/// assert!(cnf.solver_mut().solve());
+/// assert_eq!(cnf.solver_mut().solve_with_under(&[], &Budget::default()), SolveOutcome::Sat);
 /// assert_eq!(cnf.solver_mut().lit_value_model(a), Some(true));
 /// assert_eq!(cnf.solver_mut().lit_value_model(b), Some(true));
 /// ```
@@ -260,6 +261,16 @@ impl CnfBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::SolveOutcome;
+    use rsn_budget::Budget;
+
+    /// Solves without a budget limit; an undecided query fails the test.
+    fn sat(s: &mut Solver, assumptions: &[Lit]) -> bool {
+        match s.solve_with_under(assumptions, &Budget::default()) {
+            SolveOutcome::Unknown { .. } => panic!("undecided solve"),
+            outcome => outcome.is_sat(),
+        }
+    }
 
     fn model(cnf: &mut CnfBuilder, l: Lit) -> bool {
         cnf.solver_mut().lit_value_model(l).expect("assigned")
@@ -274,7 +285,7 @@ mod tests {
             let out = cnf.and([a, b]);
             cnf.assert_lit(if va { a } else { !a });
             cnf.assert_lit(if vb { b } else { !b });
-            assert!(cnf.solver_mut().solve());
+            assert!(sat(cnf.solver_mut(), &[]));
             assert_eq!(model(&mut cnf, out), va && vb);
         }
     }
@@ -288,7 +299,7 @@ mod tests {
             let out = cnf.or([a, b]);
             cnf.assert_lit(if va { a } else { !a });
             cnf.assert_lit(if vb { b } else { !b });
-            assert!(cnf.solver_mut().solve());
+            assert!(sat(cnf.solver_mut(), &[]));
             assert_eq!(model(&mut cnf, out), va || vb);
         }
     }
@@ -307,7 +318,7 @@ mod tests {
             cnf.assert_lit(if va { a } else { !a });
             cnf.assert_lit(if vb { b } else { !b });
             cnf.assert_lit(if vc { c } else { !c });
-            assert!(cnf.solver_mut().solve());
+            assert!(sat(cnf.solver_mut(), &[]));
             assert_eq!(model(&mut cnf, x), va ^ vb);
             assert_eq!(model(&mut cnf, i), if vc { va } else { vb });
             assert_eq!(model(&mut cnf, e), va == vb);
@@ -319,7 +330,7 @@ mod tests {
         let mut cnf = CnfBuilder::new();
         let t = cnf.and(std::iter::empty());
         let f = cnf.or(std::iter::empty());
-        assert!(cnf.solver_mut().solve());
+        assert!(sat(cnf.solver_mut(), &[]));
         assert!(model(&mut cnf, t));
         assert!(!model(&mut cnf, f));
     }
@@ -329,14 +340,14 @@ mod tests {
         let mut cnf = CnfBuilder::new();
         let lits: Vec<Lit> = (0..4).map(|_| cnf.new_lit()).collect();
         cnf.exactly_one(&lits);
-        assert!(cnf.solver_mut().solve());
+        assert!(sat(cnf.solver_mut(), &[]));
         let count = lits
             .iter()
             .filter(|&&l| cnf.solver.lit_value_model(l) == Some(true))
             .count();
         assert_eq!(count, 1);
         // Forcing two to be true is unsatisfiable.
-        assert!(!cnf.solver.solve_with(&[lits[0], lits[1]]));
+        assert!(!sat(&mut cnf.solver, &[lits[0], lits[1]]));
     }
 
     #[test]
@@ -347,8 +358,8 @@ mod tests {
         let b = cnf.new_lit();
         cnf.assert_eq_if(c, a, b);
         // With c true, a != b is unsat.
-        assert!(!cnf.solver.solve_with(&[c, a, !b]));
+        assert!(!sat(&mut cnf.solver, &[c, a, !b]));
         // With c false, a != b is fine.
-        assert!(cnf.solver.solve_with(&[!c, a, !b]));
+        assert!(sat(&mut cnf.solver, &[!c, a, !b]));
     }
 }

@@ -247,20 +247,21 @@ impl Dimacs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsn_budget::Budget;
 
     #[test]
     fn parse_and_solve_sat_instance() {
         let d = Dimacs::parse("c comment\np cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n").expect("parse");
         assert_eq!(d.num_vars, 3);
         let mut s = d.to_solver();
-        assert!(s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_sat());
     }
 
     #[test]
     fn parse_unsat_instance() {
         let d = Dimacs::parse("p cnf 1 2\n1 0\n-1 0\n").expect("parse");
         let mut s = d.to_solver();
-        assert!(!s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //! * Parallel solving — a diversified CDCL portfolio with a shared
 //!   learnt-clause ring and cube-and-conquer escalation
 //!   ([`portfolio`], [`pool`]); see
-//!   [`Solver::solve_portfolio_under`] and [`Solver::set_threads`].
+//!   [`Solver::set_threads`] and [`Solver::solve_with_under`].
 //!
 //! # Example
 //!
 //! ```
-//! use rsn_sat::{Solver, Lit};
+//! use rsn_budget::Budget;
+//! use rsn_sat::{Lit, SolveOutcome, Solver};
 //!
 //! let mut solver = Solver::new();
 //! let a = solver.new_var();
 //! let b = solver.new_var();
 //! solver.add_clause([Lit::pos(a), Lit::pos(b)]);
 //! solver.add_clause([Lit::neg(a)]);
-//! assert!(solver.solve());
+//! assert_eq!(solver.solve_with_under(&[], &Budget::default()), SolveOutcome::Sat);
 //! assert_eq!(solver.value(b), Some(true));
 //! ```
 

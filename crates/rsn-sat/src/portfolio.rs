@@ -1,7 +1,7 @@
 //! Portfolio CDCL with shared learnt clauses and cube-and-conquer.
 //!
-//! [`Solver::solve_portfolio_under`] (and any budgeted solve on a solver
-//! configured with [`Solver::set_threads`] > 1) races `N` diversified
+//! A budgeted solve ([`Solver::solve_with_under`]) on a solver
+//! configured with [`Solver::set_threads`] > 1 races `N` diversified
 //! CDCL workers, each a clone of the caller's solver:
 //!
 //! * **Diversification** — each worker gets a different restart schedule
@@ -153,7 +153,6 @@ fn strategy(i: usize) -> (&'static str, SearchConfig) {
             restart,
             var_decay,
             phase_seed,
-            chrono: None,
         },
     )
 }
@@ -170,8 +169,7 @@ struct PortfolioRun {
     eliminated: u64,
 }
 
-/// Entry point used by [`Solver::solve_with_under`] /
-/// [`Solver::solve_portfolio_with_under`] when `threads > 1`. Owns the
+/// Entry point used by [`Solver::solve_with_under`] when `threads > 1`. Owns the
 /// whole observability export for the logical solve (the workers bypass
 /// the instrumented wrapper), mirroring the serial counter set and
 /// adding the portfolio-specific metrics.
@@ -179,7 +177,6 @@ pub(crate) fn solve_portfolio(
     base: &mut Solver,
     assumptions: &[Lit],
     budget: &Budget,
-    threads: usize,
 ) -> SolveOutcome {
     let _trace = rsn_obs::TraceGuard::new("sat_solve");
     let start = std::time::Instant::now();
@@ -189,7 +186,7 @@ pub(crate) fn solve_portfolio(
         base,
         assumptions,
         budget,
-        threads.min(64),
+        base.threads().min(64),
         &pool,
         PHASE0_QUOTA,
         PHASE1_QUOTA,
@@ -985,10 +982,12 @@ mod tests {
         // php(8) needs ~4.8k serial conflicts: past the phase-0 burst,
         // so diversified workers genuinely race for this verdict.
         let mut s = pigeonhole(8);
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&[], &Budget::unlimited());
         assert_eq!(out, SolveOutcome::Unsat);
         // The verdict is latched: a plain re-solve is immediate.
-        assert!(!s.solve());
+        s.set_threads(1);
+        assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
     }
 
     #[test]
@@ -1000,7 +999,8 @@ mod tests {
             s.add_clause([lp(w[0]), lp(w[1])]);
             s.add_clause([ln(w[0]), ln(w[1])]);
         }
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&[], &Budget::unlimited());
         assert_eq!(out, SolveOutcome::Sat);
         for w in x.windows(2) {
             let a = s.value(w[0]).expect("assigned");
@@ -1015,21 +1015,24 @@ mod tests {
         let vars: Vec<Var> = (0..6).map(|_| s.new_var()).collect();
         s.add_clause([ln(vars[1]), ln(vars[2])]);
         let assumptions: Vec<Lit> = vars.iter().map(|&v| lp(v)).collect();
-        let out = s.solve_portfolio_with_under(&assumptions, &Budget::unlimited(), 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&assumptions, &Budget::unlimited());
         assert_eq!(out, SolveOutcome::Unsat);
         let core = s.core().to_vec();
         assert!(!core.is_empty());
         assert!(core.iter().all(|l| assumptions.contains(l)));
         // Re-solving with only the core stays unsatisfiable (serially).
-        assert!(!s.solve_with(&core));
+        s.set_threads(1);
+        assert!(s.solve_with_under(&core, &Budget::default()).is_unsat());
     }
 
     #[test]
     fn one_thread_portfolio_is_bit_identical_to_serial() {
         let mut a = pigeonhole(5);
         let mut b = a.clone();
-        let out_a = a.solve_under(&Budget::unlimited());
-        let out_b = b.solve_portfolio_under(&Budget::unlimited(), 1);
+        let out_a = a.solve_with_under(&[], &Budget::unlimited());
+        b.set_threads(1);
+        let out_b = b.solve_with_under(&[], &Budget::unlimited());
         assert_eq!(out_a, out_b);
         assert_eq!(a.stats(), b.stats(), "threads==1 must take the serial loop");
     }
@@ -1039,27 +1042,30 @@ mod tests {
         let mut s = pigeonhole(6);
         s.set_threads(3);
         assert_eq!(s.threads(), 3);
-        assert!(!s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
         // Assumption queries and cores keep working through the dispatch.
         let mut s = Solver::new();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([lp(a), lp(b)]);
         s.set_threads(3);
-        assert!(s.solve_with(&[ln(a)]));
+        assert!(s.solve_with_under(&[ln(a)], &Budget::default()).is_sat());
         assert_eq!(s.value(b), Some(true));
-        let core = s.solve_with_core(&[ln(a), ln(b)]).expect("unsat");
-        assert!(!core.is_empty());
+        assert!(s
+            .solve_with_under(&[ln(a), ln(b)], &Budget::default())
+            .is_unsat());
+        assert!(!s.core().is_empty());
     }
 
     #[test]
     fn exhausted_budget_yields_unknown() {
         let mut s = pigeonhole(7);
-        let out = s.solve_portfolio_under(&Budget::unlimited().with_work_limit(0), 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(0));
         assert!(out.is_unknown());
         // Still usable afterwards.
         assert_eq!(
-            s.solve_portfolio_under(&Budget::unlimited(), 4),
+            s.solve_with_under(&[], &Budget::unlimited()),
             SolveOutcome::Unsat
         );
     }
@@ -1069,7 +1075,8 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
         let mut s = pigeonhole(7);
-        let out = s.solve_portfolio_under(&budget, 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&[], &budget);
         assert_eq!(
             out,
             SolveOutcome::Unknown {
@@ -1096,7 +1103,7 @@ mod tests {
             run.cubes
         );
         // The verdict is latched on the caller's solver.
-        assert!(!s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
     }
 
     #[test]
@@ -1125,13 +1132,11 @@ mod tests {
             s.add_clause(picks.map(|i| Lit::with_polarity(vars[i], next() & 1 == 1)));
         }
         let mut serial = s.clone();
-        let expected = serial.solve();
+        let expected = serial.solve_with_under(&[], &Budget::default());
+        assert!(!expected.is_unknown());
         let pool = ClausePool::new(POOL_CAPACITY);
         let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, 2, false);
-        match expected {
-            true => assert_eq!(run.outcome, SolveOutcome::Sat),
-            false => assert_eq!(run.outcome, SolveOutcome::Unsat),
-        }
+        assert_eq!(run.outcome, expected);
     }
 
     /// Random 3-SAT instance over `n` vars with the given seed; returns
@@ -1173,19 +1178,12 @@ mod tests {
         for seed in 0..12u64 {
             let (mut s, clauses) = random_3sat(40, 160, 0x5eed_0000 + seed * 7919);
             let mut serial = s.clone();
-            let expected = serial.solve();
+            let expected = serial.solve_with_under(&[], &Budget::default());
+            assert!(!expected.is_unknown(), "seed {seed}");
             let pool = ClausePool::new(POOL_CAPACITY);
             let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, 2, true);
-            assert_eq!(
-                run.outcome,
-                if expected {
-                    SolveOutcome::Sat
-                } else {
-                    SolveOutcome::Unsat
-                },
-                "seed {seed}"
-            );
-            if expected {
+            assert_eq!(run.outcome, expected, "seed {seed}");
+            if expected.is_sat() {
                 for c in &clauses {
                     assert!(
                         c.iter().any(|&l| s.lit_value_model(l) == Some(true)),
@@ -1194,7 +1192,10 @@ mod tests {
                 }
             } else {
                 // The verdict is latched on the caller's solver.
-                assert!(!s.solve(), "seed {seed}");
+                assert!(
+                    s.solve_with_under(&[], &Budget::default()).is_unsat(),
+                    "seed {seed}"
+                );
             }
         }
     }
@@ -1223,7 +1224,7 @@ mod tests {
             "chain variables should be resolved out, got {}",
             run.eliminated
         );
-        assert!(!s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
     }
 
     #[test]
@@ -1237,7 +1238,9 @@ mod tests {
         s.add_clause([ln(vars[0]), lp(vars[1])]);
         let assumptions = [lp(vars[0]), ln(vars[1])];
         let mut serial = s.clone();
-        assert!(!serial.solve_with(&assumptions));
+        assert!(serial
+            .solve_with_under(&assumptions, &Budget::default())
+            .is_unsat());
         let pool = ClausePool::new(POOL_CAPACITY);
         let run = run_portfolio(
             &mut s,
@@ -1253,10 +1256,10 @@ mod tests {
         let core = s.core().to_vec();
         assert!(!core.is_empty());
         assert!(core.iter().all(|l| assumptions.contains(l)));
-        assert!(!s.solve_with(&core));
+        assert!(s.solve_with_under(&core, &Budget::default()).is_unsat());
         // The caller's solver is NOT latched unsat: the formula itself
         // stays satisfiable without the assumptions.
-        assert!(s.solve());
+        assert!(s.solve_with_under(&[], &Budget::default()).is_sat());
     }
 
     #[test]
@@ -1271,7 +1274,8 @@ mod tests {
         // php(8) outlives the phase-0 burst, so workers really spawn
         // (and all die at the failpoint).
         let mut s = pigeonhole(8);
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        s.set_threads(4);
+        let out = s.solve_with_under(&[], &Budget::unlimited());
         rsn_fail::clear();
         assert_eq!(out, SolveOutcome::Unsat);
     }
@@ -1288,9 +1292,11 @@ mod tests {
         for w in vars.windows(2) {
             sat_case.add_clause([lp(w[0]), lp(w[1])]);
         }
-        let out = sat_case.solve_portfolio_under(&Budget::unlimited(), 4);
+        sat_case.set_threads(4);
+        let out = sat_case.solve_with_under(&[], &Budget::unlimited());
         let mut unsat_case = pigeonhole(8);
-        let out2 = unsat_case.solve_portfolio_under(&Budget::unlimited(), 4);
+        unsat_case.set_threads(4);
+        let out2 = unsat_case.solve_with_under(&[], &Budget::unlimited());
         rsn_fail::clear();
         assert_eq!(out, SolveOutcome::Sat);
         assert_eq!(out2, SolveOutcome::Unsat);

@@ -163,20 +163,6 @@ pub struct SearchConfig {
     /// splitmix64 seed before the search starts (portfolio
     /// diversification); `None` keeps the saved phases as-is.
     pub phase_seed: Option<u64>,
-    /// Chronological-backtracking threshold (Nadel & Ryvchin, SAT'18).
-    /// When a conflict's computed backjump would unwind more than this
-    /// many levels, the solver backtracks a single level instead and
-    /// asserts the learnt clause there — the clause is unit at every
-    /// level between the backjump target and the conflict level, so
-    /// this is sound, and it keeps deep, expensively propagated trail
-    /// prefixes intact. `None` (the default) always backjumps — the
-    /// historical behaviour the `threads == 1` bit-identical contract
-    /// freezes. Opt-in: on the miter workloads the saved re-propagation
-    /// is outweighed by the conflict-count explosion from asserting
-    /// learnt clauses at inflated levels, so no built-in strategy
-    /// enables it; it remains a diversification axis for callers whose
-    /// instances reward it.
-    pub chrono: Option<u32>,
 }
 
 impl Default for SearchConfig {
@@ -185,7 +171,6 @@ impl Default for SearchConfig {
             restart: RestartSchedule::Luby { base: 100 },
             var_decay: 0.95,
             phase_seed: None,
-            chrono: None,
         }
     }
 }
@@ -205,7 +190,7 @@ pub struct Stats {
     pub learnts: u64,
 }
 
-/// Tri-state result of a budgeted solve ([`Solver::solve_under`]).
+/// Tri-state result of a budgeted solve ([`Solver::solve_with_under`]).
 ///
 /// `Unknown` means the budget ran out before the solver reached a
 /// verdict — the formula may be either satisfiable or unsatisfiable. The
@@ -248,7 +233,8 @@ impl SolveOutcome {
 /// # Example
 ///
 /// ```
-/// use rsn_sat::{Lit, Solver};
+/// use rsn_budget::Budget;
+/// use rsn_sat::{Lit, SolveOutcome, Solver};
 ///
 /// let mut s = Solver::new();
 /// let a = s.new_var();
@@ -257,7 +243,7 @@ impl SolveOutcome {
 /// s.add_clause([Lit::pos(a), Lit::pos(b)]);
 /// s.add_clause([Lit::neg(a), Lit::pos(b)]);
 /// s.add_clause([Lit::pos(a), Lit::neg(b)]);
-/// assert!(s.solve());
+/// assert_eq!(s.solve_with_under(&[], &Budget::default()), SolveOutcome::Sat);
 /// assert_eq!(s.value(a), Some(true));
 /// assert_eq!(s.value(b), Some(true));
 /// ```
@@ -345,8 +331,7 @@ impl Solver {
     /// Sets the worker count used by budgeted solves. `1` (the default)
     /// keeps the exact serial CDCL loop — bit-identical verdicts and
     /// stats; `n > 1` routes [`Solver::solve_with_under`] (and therefore
-    /// `solve_with`, `solve`, `solve_with_core`, `shrink_core_under`)
-    /// through an `n`-worker portfolio with shared learnt clauses.
+    /// `shrink_core_under`) through an `n`-worker portfolio with shared learnt clauses.
     /// Values are clamped to at least 1.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -728,35 +713,6 @@ impl Solver {
         self.reason[v.index()] == Some(cref) && self.assign[v.index()] != UNDEF
     }
 
-    /// Solves the formula without assumptions. Returns `true` if
-    /// satisfiable; the model is then available through [`Solver::value`].
-    pub fn solve(&mut self) -> bool {
-        self.solve_with(&[])
-    }
-
-    /// Solves under the given assumptions. Returns `true` if satisfiable
-    /// with all assumption literals forced true.
-    ///
-    /// The solver remains usable afterwards (assumptions are retracted), so
-    /// incremental querying is supported.
-    ///
-    /// Each call exports its [`Stats`] delta into the global `rsn-obs`
-    /// registry under `sat.conflicts`, `sat.decisions`,
-    /// `sat.propagations`, `sat.restarts` plus `sat.solves` and a
-    /// `sat.sat` / `sat.unsat` outcome counter.
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> bool {
-        match self.solve_with_under(assumptions, &Budget::unlimited()) {
-            SolveOutcome::Sat => true,
-            SolveOutcome::Unsat => false,
-            SolveOutcome::Unknown { .. } => unreachable!("unlimited budget cannot exhaust"),
-        }
-    }
-
-    /// Solves the formula under a [`Budget`], without assumptions.
-    pub fn solve_under(&mut self, budget: &Budget) -> SolveOutcome {
-        self.solve_with_under(&[], budget)
-    }
-
     /// Solves under assumptions and a [`Budget`].
     ///
     /// One work unit is spent on entry (so a zero budget deterministically
@@ -781,45 +737,16 @@ impl Solver {
             budget.cancel();
         }
         if self.threads > 1 {
-            return crate::portfolio::solve_portfolio(self, assumptions, budget, self.threads);
+            return crate::portfolio::solve_portfolio(self, assumptions, budget);
         }
         self.solve_serial_instrumented(assumptions, budget)
-    }
-
-    /// Portfolio solve without assumptions: `threads` diversified CDCL
-    /// workers race on clones of this solver, sharing short learnt
-    /// clauses; instances surviving the conflict quota escalate to
-    /// cube-and-conquer. `threads == 1` takes the exact serial loop —
-    /// same verdict, same [`Stats`] as [`Solver::solve_under`].
-    pub fn solve_portfolio_under(&mut self, budget: &Budget, threads: usize) -> SolveOutcome {
-        self.solve_portfolio_with_under(&[], budget, threads)
-    }
-
-    /// Portfolio solve under assumptions; see
-    /// [`Solver::solve_portfolio_under`]. On `Unsat` the winner's
-    /// failed-assumption core is available through [`Solver::core`],
-    /// on `Sat` the winner's model through [`Solver::value`] — exactly
-    /// as after a serial solve.
-    pub fn solve_portfolio_with_under(
-        &mut self,
-        assumptions: &[Lit],
-        budget: &Budget,
-        threads: usize,
-    ) -> SolveOutcome {
-        if rsn_fail::eval("sat.solve").is_some() {
-            budget.cancel();
-        }
-        if threads <= 1 {
-            return self.solve_serial_instrumented(assumptions, budget);
-        }
-        crate::portfolio::solve_portfolio(self, assumptions, budget, threads)
     }
 
     fn solve_serial_instrumented(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         let _trace = rsn_obs::TraceGuard::new("sat_solve");
         let start = std::time::Instant::now();
         let before = self.stats;
-        let result = self.solve_with_inner(assumptions, budget);
+        let result = self.solve_inner_para(assumptions, budget, None);
         let after = self.stats;
         let conflicts = after.conflicts - before.conflicts;
         rsn_obs::counter_add("sat.solves", 1);
@@ -845,10 +772,6 @@ impl Solver {
             }
         }
         result
-    }
-
-    fn solve_with_inner(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        self.solve_inner_para(assumptions, budget, None)
     }
 
     /// The CDCL loop. `para` is `None` for the serial path and carries
@@ -947,20 +870,6 @@ impl Solver {
                 let bt = bt_level
                     .max(assumptions.len() as u32)
                     .min(self.current_level() - 1);
-                // Chronological backtracking: a learnt clause with ≥ 2
-                // literals is unit at every level in `bt..current`, so
-                // when the jump would discard more than the configured
-                // number of levels, retreat one level instead and assert
-                // it there. Unit learnts always take the full jump — they
-                // belong at the root (or the assumption prefix), and
-                // asserting them higher with no reason clause would
-                // masquerade as a decision during conflict analysis.
-                let bt = match self.config.chrono {
-                    Some(t) if learnt.len() >= 2 && self.current_level() - 1 - bt > t => {
-                        self.current_level() - 1
-                    }
-                    _ => bt,
-                };
                 self.backtrack(bt);
                 if learnt.len() == 1 && bt == 0 {
                     if self.lit_value(learnt[0]) == UNDEF {
@@ -1163,19 +1072,6 @@ impl Solver {
         &self.core
     }
 
-    /// Solves under assumptions; on an unsatisfiable outcome returns the
-    /// failed-assumption core (see [`Solver::core`]), `None` when
-    /// satisfiable. The returned core is a valid but not necessarily
-    /// minimal subset — pass it to [`Solver::shrink_core_under`] for
-    /// deletion-based minimization.
-    pub fn solve_with_core(&mut self, assumptions: &[Lit]) -> Option<Vec<Lit>> {
-        if self.solve_with(assumptions) {
-            None
-        } else {
-            Some(self.core.clone())
-        }
-    }
-
     /// Budget-aware deletion-based minimization of a failed-assumption
     /// core: each member is dropped in turn and the remainder re-solved;
     /// `Unsat` answers also *refine* the working core to the solver's
@@ -1213,7 +1109,7 @@ impl Solver {
         (cur, true)
     }
 
-    /// Model value of a variable after a satisfiable [`Solver::solve`] call,
+    /// Model value of a variable after a satisfiable [`Solver::solve_with_under`] call,
     /// `None` if unassigned.
     pub fn value(&self, v: Var) -> Option<bool> {
         match self.assign[v.index()] {
@@ -1569,6 +1465,14 @@ fn luby(i: u32) -> u64 {
 mod tests {
     use super::*;
 
+    /// Solves without a budget limit; an undecided query fails the test.
+    fn sat(s: &mut Solver, assumptions: &[Lit]) -> bool {
+        match s.solve_with_under(assumptions, &Budget::default()) {
+            SolveOutcome::Unknown { .. } => panic!("undecided solve"),
+            outcome => outcome.is_sat(),
+        }
+    }
+
     fn lp(v: Var) -> Lit {
         Lit::pos(v)
     }
@@ -1586,7 +1490,7 @@ mod tests {
     #[test]
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
     }
 
     #[test]
@@ -1596,7 +1500,7 @@ mod tests {
         let b = s.new_var();
         s.add_clause([lp(a)]);
         s.add_clause([ln(a), lp(b)]);
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
         assert_eq!(s.value(a), Some(true));
         assert_eq!(s.value(b), Some(true));
     }
@@ -1607,7 +1511,7 @@ mod tests {
         let a = s.new_var();
         s.add_clause([lp(a)]);
         assert!(!s.add_clause([ln(a)]));
-        assert!(!s.solve());
+        assert!(!sat(&mut s, &[]));
     }
 
     #[test]
@@ -1618,7 +1522,7 @@ mod tests {
         s.add_clause([lp(p[0])]);
         s.add_clause([lp(p[1])]);
         s.add_clause([ln(p[0]), ln(p[1])]);
-        assert!(!s.solve());
+        assert!(!sat(&mut s, &[]));
     }
 
     #[test]
@@ -1641,7 +1545,7 @@ mod tests {
                 }
             }
         }
-        assert!(!s.solve());
+        assert!(!sat(&mut s, &[]));
         assert!(s.stats().conflicts > 0);
     }
 
@@ -1662,7 +1566,7 @@ mod tests {
         xor(&mut s, x[0], x[1], true);
         xor(&mut s, x[1], x[2], true);
         xor(&mut s, x[0], x[2], false);
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
         let v0 = s.value(x[0]).expect("assigned");
         let v1 = s.value(x[1]).expect("assigned");
         let v2 = s.value(x[2]).expect("assigned");
@@ -1680,7 +1584,7 @@ mod tests {
             s.add_clause([lp(x[a]), lp(x[b])]);
             s.add_clause([ln(x[a]), ln(x[b])]);
         }
-        assert!(!s.solve());
+        assert!(!sat(&mut s, &[]));
     }
 
     #[test]
@@ -1689,14 +1593,14 @@ mod tests {
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([lp(a), lp(b)]);
-        assert!(s.solve_with(&[ln(a)]));
+        assert!(sat(&mut s, &[ln(a)]));
         assert_eq!(s.value(b), Some(true));
-        assert!(s.solve_with(&[ln(b)]));
+        assert!(sat(&mut s, &[ln(b)]));
         assert_eq!(s.value(a), Some(true));
         // Contradictory assumptions: unsat under assumptions...
-        assert!(!s.solve_with(&[ln(a), ln(b)]));
+        assert!(!sat(&mut s, &[ln(a), ln(b)]));
         // ...but the formula itself is still satisfiable.
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
     }
 
     #[test]
@@ -1704,8 +1608,8 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         s.add_clause([lp(a)]);
-        assert!(!s.solve_with(&[ln(a)]));
-        assert!(s.solve());
+        assert!(!sat(&mut s, &[ln(a)]));
+        assert!(sat(&mut s, &[]));
         assert_eq!(s.value(a), Some(true));
     }
 
@@ -1714,7 +1618,7 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         assert!(s.add_clause([lp(a), ln(a)]));
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
     }
 
     #[test]
@@ -1724,7 +1628,7 @@ mod tests {
         let b = s.new_var();
         assert!(s.add_clause([lp(a), lp(a), lp(b)]));
         s.add_clause([ln(a)]);
-        assert!(s.solve());
+        assert!(sat(&mut s, &[]));
         assert_eq!(s.value(b), Some(true));
     }
 
@@ -1754,7 +1658,7 @@ mod tests {
     fn zero_budget_returns_unknown() {
         use rsn_budget::Budget;
         let mut s = pigeonhole_4_3();
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(0));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(0));
         match out {
             SolveOutcome::Unknown { conflicts, reason } => {
                 assert_eq!(conflicts, 0);
@@ -1763,7 +1667,7 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         // Solver is still usable: an unconstrained solve proves unsat.
-        assert!(!s.solve());
+        assert!(!sat(&mut s, &[]));
     }
 
     #[test]
@@ -1771,7 +1675,7 @@ mod tests {
         use rsn_budget::Budget;
         use std::time::Duration;
         let mut s = pigeonhole_4_3();
-        let out = s.solve_under(&Budget::unlimited().with_deadline(Duration::ZERO));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_deadline(Duration::ZERO));
         assert_eq!(
             out,
             SolveOutcome::Unknown {
@@ -1787,7 +1691,7 @@ mod tests {
         let mut s = pigeonhole_4_3();
         // 1 entry unit + conflict units; the conflict whose check trips
         // is already counted, so at most `limit` conflicts happen.
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(3));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(3));
         match out {
             SolveOutcome::Unknown { conflicts, reason } => {
                 assert!(conflicts <= 3, "overran conflict budget: {conflicts}");
@@ -1797,7 +1701,7 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         // Re-solving with a fresh, bigger budget finishes the proof.
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(1_000_000));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(1_000_000));
         assert_eq!(out, SolveOutcome::Unsat);
     }
 
@@ -1808,11 +1712,14 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         s.add_clause([lp(a)]);
-        assert!(s.solve_under(&budget).is_unknown());
+        assert!(s.solve_with_under(&[], &budget).is_unknown());
         // Same budget again: still Unknown, even for a trivial formula.
-        assert!(s.solve_under(&budget).is_unknown());
+        assert!(s.solve_with_under(&[], &budget).is_unknown());
         // A fresh budget resolves it.
-        assert!(s.solve_under(&Budget::unlimited()).is_sat());
+        assert_eq!(
+            s.solve_with_under(&[], &Budget::unlimited()),
+            SolveOutcome::Sat
+        );
     }
 
     #[test]
@@ -1822,7 +1729,7 @@ mod tests {
         budget.cancel_token().cancel();
         let mut s = pigeonhole_4_3();
         assert_eq!(
-            s.solve_under(&budget),
+            s.solve_with_under(&[], &budget),
             SolveOutcome::Unknown {
                 conflicts: 0,
                 reason: Reason::Cancelled
@@ -1835,7 +1742,7 @@ mod tests {
         use rsn_budget::Budget;
         let generous = Budget::unlimited().with_work_limit(10_000_000);
         let mut s = pigeonhole_4_3();
-        assert_eq!(s.solve_under(&generous), SolveOutcome::Unsat);
+        assert_eq!(s.solve_with_under(&[], &generous), SolveOutcome::Unsat);
 
         let mut s = Solver::new();
         let a = s.new_var();
@@ -1901,7 +1808,7 @@ mod tests {
                 }
             }
             let expected = brute_force_sat(nv, &clauses);
-            let got = if trivially_unsat { false } else { s.solve() };
+            let got = !trivially_unsat && sat(&mut s, &[]);
             assert_eq!(got, expected, "clauses: {clauses:?}");
             if got {
                 // Verify the model.

@@ -4,7 +4,8 @@
 //! xorshift-style generator so the workspace carries no external
 //! dependencies and every run exercises the same cases.
 
-use rsn_sat::{dimacs::Dimacs, CnfBuilder, Lit, Solver, Var};
+use rsn_budget::Budget;
+use rsn_sat::{dimacs::Dimacs, CnfBuilder, Lit, SolveOutcome, Solver, Var};
 
 /// Deterministic splitmix64-style generator for reproducible cases.
 struct Rng(u64);
@@ -48,6 +49,13 @@ fn brute_force(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<u32> {
     })
 }
 
+/// Solves without a budget limit; an undecided query fails the test.
+fn sat(s: &mut Solver, assumptions: &[Lit]) -> bool {
+    match s.solve_with_under(assumptions, &Budget::default()) {
+        SolveOutcome::Unknown { .. } => panic!("undecided solve"),
+        outcome => outcome.is_sat(),
+    }
+}
 #[test]
 fn solver_agrees_with_brute_force() {
     let mut rng = Rng(0x5eed_0001);
@@ -64,7 +72,7 @@ fn solver_agrees_with_brute_force() {
             }
         }
         let expected = brute_force(8, &clauses).is_some();
-        let got = if trivially_unsat { false } else { s.solve() };
+        let got = !trivially_unsat && sat(&mut s, &[]);
         assert_eq!(got, expected, "clauses: {clauses:?}");
         if got {
             for c in &clauses {
@@ -98,9 +106,9 @@ fn assumptions_partition_the_search_space() {
             continue;
         }
         let v = Var(pivot);
-        let pos = s.solve_with(&[Lit::pos(v)]);
-        let neg = s.solve_with(&[Lit::neg(v)]);
-        let plain = s.solve();
+        let pos = sat(&mut s, &[Lit::pos(v)]);
+        let neg = sat(&mut s, &[Lit::neg(v)]);
+        let plain = sat(&mut s, &[]);
         assert_eq!(plain, pos || neg, "pivot {pivot} clauses {clauses:?}");
     }
 }
@@ -133,22 +141,23 @@ fn extracted_cores_are_valid_and_shrunk_cores_are_minimal() {
         let assumptions: Vec<Lit> = (0..n_assum)
             .map(|_| Lit::with_polarity(Var(rng.below(6) as u32), rng.bool()))
             .collect();
-        let Some(core) = s.solve_with_core(&assumptions) else {
+        if sat(&mut s, &assumptions) {
             continue; // satisfiable under these assumptions
-        };
+        }
+        let core = s.core().to_vec();
         unsat_cases += 1;
         assert!(
             core.iter().all(|l| assumptions.contains(l)),
             "core {core:?} is not a subset of assumptions {assumptions:?}"
         );
         assert!(
-            !s.solve_with(&core),
+            !sat(&mut s, &core),
             "core {core:?} does not reproduce unsatisfiability ({clauses:?})"
         );
         let (shrunk, minimal) = s.shrink_core_under(&core, &budget);
         assert!(minimal, "unlimited budget must finish the pass");
         assert!(
-            !s.solve_with(&shrunk),
+            !sat(&mut s, &shrunk),
             "shrunk core {shrunk:?} is no longer a core"
         );
         assert!(shrunk.len() <= core.len());
@@ -160,7 +169,7 @@ fn extracted_cores_are_valid_and_shrunk_cores_are_minimal() {
                 .map(|(_, &l)| l)
                 .collect();
             assert!(
-                s.solve_with(&without),
+                sat(&mut s, &without),
                 "member {:?} of shrunk core {shrunk:?} is redundant",
                 shrunk[drop]
             );
@@ -178,7 +187,8 @@ fn core_shrinking_respects_budget() {
     // x0 ∧ x1 ∧ x2 ∧ x3 assumed, with clause ¬x1 ∨ ¬x2 — core {x1, x2}.
     s.add_clause([Lit::neg(vars[1]), Lit::neg(vars[2])]);
     let assumptions: Vec<Lit> = vars.iter().map(|&v| Lit::pos(v)).collect();
-    let core = s.solve_with_core(&assumptions).expect("unsat");
+    assert!(!sat(&mut s, &assumptions));
+    let core = s.core().to_vec();
     let exhausted = rsn_budget::Budget::unlimited().with_work_limit(0);
     let _ = exhausted.check(); // trip it
     let (kept, minimal) = s.shrink_core_under(&core, &exhausted);
@@ -205,7 +215,7 @@ fn dimacs_roundtrip_preserves_satisfiability() {
         let d2 = Dimacs::parse(&text).expect("reparse");
         let mut s1 = d.to_solver();
         let mut s2 = d2.to_solver();
-        assert_eq!(s1.solve(), s2.solve(), "clauses {clauses:?}");
+        assert_eq!(sat(&mut s1, &[]), sat(&mut s2, &[]), "clauses {clauses:?}");
     }
 }
 
@@ -275,9 +285,11 @@ fn portfolio_agrees_with_serial_on_parsed_3sat() {
         let mut serial = parsed.to_solver();
         let mut one = serial.clone();
         let mut wide = serial.clone();
-        let serial_out = serial.solve_under(&budget);
-        let one_out = one.solve_portfolio_under(&budget, 1);
-        let wide_out = wide.solve_portfolio_under(&budget, 4);
+        let serial_out = serial.solve_with_under(&[], &budget);
+        one.set_threads(1);
+        let one_out = one.solve_with_under(&[], &budget);
+        wide.set_threads(4);
+        let wide_out = wide.solve_with_under(&[], &budget);
         assert_eq!(serial_out, one_out, "case {case}: 1-thread diverged");
         assert_eq!(
             serial.stats(),
@@ -292,7 +304,7 @@ fn portfolio_agrees_with_serial_on_parsed_3sat() {
             rsn_sat::SolveOutcome::Sat => sat_seen += 1,
             rsn_sat::SolveOutcome::Unsat => unsat_seen += 1,
             rsn_sat::SolveOutcome::Unknown { .. } => {
-                panic!("case {case}: unlimited budget cannot exhaust")
+                panic!("case {case}: undecided under an unlimited budget")
             }
         }
     }
@@ -316,7 +328,7 @@ fn tseitin_gates_respect_semantics() {
         for (l, &v) in lits.iter().zip(&inputs) {
             cnf.assert_lit(if v { *l } else { !*l });
         }
-        assert!(cnf.solver_mut().solve());
+        assert!(sat(cnf.solver_mut(), &[]));
         let and_v = cnf.solver_mut().lit_value_model(and).expect("assigned");
         let or_v = cnf.solver_mut().lit_value_model(or).expect("assigned");
         assert_eq!(and_v, inputs.iter().all(|&b| b), "inputs {inputs:?}");

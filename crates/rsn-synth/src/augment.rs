@@ -15,7 +15,7 @@
 //!
 //! Two solvers compute a minimum-cost augmenting edge set:
 //!
-//! * [`augment_ilp`] — the paper's 0/1 ILP with degree constraints and
+//! * [`augment_ilp_under`] — the paper's 0/1 ILP with degree constraints and
 //!   lazily separated acyclicity (subtour-elimination) cuts, solved by
 //!   `rsn-ilp`. Exact, used for small and medium instances.
 //! * [`augment_greedy`] — a level-by-level deficit-pairing heuristic that
@@ -93,25 +93,16 @@ fn out_enforceable(df: &Dataflow, v: usize) -> bool {
     candidates >= 2
 }
 
-/// Exact augmentation via the paper's ILP with lazy acyclicity cuts.
-///
-/// # Errors
-///
-/// Propagates [`IlpError`] from the solver (infeasibility can only occur
-/// on degenerate graphs).
-pub fn augment_ilp(df: &Dataflow, opts: &AugmentOptions) -> Result<Augmentation, IlpError> {
-    augment_ilp_under(df, opts, &Budget::unlimited())
-}
-
-/// Like [`augment_ilp`], bounded by a [`Budget`] shared across all lazy
-/// cut rounds.
+/// Exact augmentation via the paper's ILP with lazy acyclicity cuts,
+/// bounded by a [`Budget`] shared across all lazy cut rounds.
 ///
 /// # Errors
 ///
 /// [`IlpError::Budget`] when the budget trips before a usable incumbent
-/// exists; other [`IlpError`]s as for [`augment_ilp`]. A returned
-/// augmentation always satisfies every separated acyclicity cut, but may
-/// be suboptimal if the solve finished on an unproven incumbent.
+/// exists; other [`IlpError`]s propagate from the solver (infeasibility
+/// can only occur on degenerate graphs). A returned augmentation always
+/// satisfies every separated acyclicity cut, but may be suboptimal if
+/// the solve finished on an unproven incumbent.
 pub fn augment_ilp_under(
     df: &Dataflow,
     opts: &AugmentOptions,
@@ -604,7 +595,8 @@ mod tests {
     #[test]
     fn ilp_augments_fig2() {
         let df = Dataflow::extract(&fig2());
-        let aug = augment_ilp(&df, &AugmentOptions::default()).expect("solvable");
+        let aug = augment_ilp_under(&df, &AugmentOptions::default(), &Budget::default())
+            .expect("solvable");
         check_invariants(&df, &aug);
         assert_eq!(aug.repairs, 0);
         assert!(aug.used_ilp);
@@ -616,7 +608,7 @@ mod tests {
             let df = Dataflow::extract(&rsn);
             let opts = AugmentOptions::default();
             let greedy = augment_greedy(&df, &opts);
-            let ilp = augment_ilp(&df, &opts).expect("solvable");
+            let ilp = augment_ilp_under(&df, &opts, &Budget::default()).expect("solvable");
             check_invariants(&df, &greedy);
             check_invariants(&df, &ilp);
             assert!(

@@ -637,7 +637,7 @@ pub fn synthesize_under(
                 // agreement would only re-discover the placeholder.
                 rsn_verify::VerifyOptions::without_select_checks()
             };
-            let mut vreport = rsn_verify::verify_with(&ft, vopts);
+            let mut vreport = rsn_verify::verify_under(&ft, vopts, &Budget::default());
             // Augmentation effectiveness on the *augmented* dataflow graph.
             let mut augmented = df.graph.clone();
             for &(i, j) in &augmentation.added {

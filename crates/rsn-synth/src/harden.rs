@@ -122,8 +122,9 @@ pub fn apply_mux_hardening(builder: &mut RsnBuilder, chosen: &[NodeId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsn_budget::Budget;
     use rsn_core::examples::{chain, fig2};
-    use rsn_fault::{analyze, analyze_with, WeightModel};
+    use rsn_fault::{analyze_parallel_budgeted, WeightModel};
     use rsn_itc02::parse_soc;
     use rsn_sib::generate;
 
@@ -184,8 +185,10 @@ mod tests {
         apply_mux_hardening(&mut b, &plan.chosen);
         let hardened = b.finish().expect("rebuild");
 
-        let before = analyze_with(&rsn, profile, WeightModel::Ports);
-        let after = analyze_with(&hardened, profile, WeightModel::Ports);
+        let before =
+            analyze_parallel_budgeted(&rsn, profile, WeightModel::Ports, &Budget::default());
+        let after =
+            analyze_parallel_budgeted(&hardened, profile, WeightModel::Ports, &Budget::default());
         let predicted = plan.chosen_gain() / before.total_weight as f64;
         let actual = after.avg_segments - before.avg_segments;
         assert!(
@@ -209,6 +212,9 @@ mod tests {
         apply_mux_hardening(&mut b, &all);
         let full = b.finish().expect("rebuild");
 
-        assert_eq!(analyze(&selective, profile), analyze(&full, profile));
+        assert_eq!(
+            analyze_parallel_budgeted(&selective, profile, WeightModel::Ports, &Budget::default()),
+            analyze_parallel_budgeted(&full, profile, WeightModel::Ports, &Budget::default())
+        );
     }
 }

@@ -1,13 +1,19 @@
 //! Additional synthesis coverage: hardening structure, option variations,
 //! and end-to-end invariants over the embedded suite.
 
+use rsn_budget::Budget;
 use rsn_core::ControlExpr;
-use rsn_fault::{analyze, HardeningProfile};
+use rsn_fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 use rsn_itc02::by_name;
 use rsn_sib::generate;
 use rsn_synth::area::{costs, AreaModel, Overhead};
 use rsn_synth::select::derive_selects;
 use rsn_synth::{synthesize, Dataflow, SelectMode, SolverChoice, SynthesisOptions};
+
+/// The port-weighted fault-tolerance metric without a budget limit.
+fn metric(rsn: &rsn_core::Rsn, profile: HardeningProfile) -> rsn_fault::FaultToleranceReport {
+    analyze_parallel_budgeted(rsn, profile, WeightModel::Ports, &Budget::default())
+}
 
 #[test]
 fn synthesized_selects_have_multiple_stems() {
@@ -47,7 +53,7 @@ fn solver_choices_give_equivalent_quality() {
     let mut greedy_opts = SynthesisOptions::new();
     greedy_opts.solver = SolverChoice::Greedy;
     let greedy = synthesize(&rsn, &greedy_opts).expect("greedy");
-    let report = analyze(&greedy.rsn, HardeningProfile::hardened());
+    let report = metric(&greedy.rsn, HardeningProfile::hardened());
     // The greedy result achieves the headline property on its own.
     let total = greedy.rsn.segments().count() as f64;
     assert!(report.worst_segments >= (total - 1.0) / total - 1e-9);
@@ -60,7 +66,7 @@ fn no_secondary_ports_costs_port_resilience_only() {
     let mut opts = SynthesisOptions::new();
     opts.secondary_ports = false;
     let ft = synthesize(&rsn, &opts).expect("synthesize");
-    let report = analyze(&ft.rsn, HardeningProfile::hardened());
+    let report = metric(&ft.rsn, HardeningProfile::hardened());
     // Port faults now disconnect everything: worst case collapses...
     assert_eq!(report.worst_segments, 0.0);
     // ...but the average barely moves (only 4 port faults exist).
@@ -76,7 +82,7 @@ fn alpha_zero_and_one_both_synthesize_correctly() {
         let mut opts = SynthesisOptions::new();
         opts.augment.alpha = alpha;
         let ft = synthesize(&rsn, &opts).expect("synthesize");
-        let report = analyze(&ft.rsn, HardeningProfile::hardened());
+        let report = metric(&ft.rsn, HardeningProfile::hardened());
         assert!(report.worst_segments > 0.9, "alpha {alpha}: {report}");
     }
 }
@@ -123,7 +129,7 @@ fn repeated_synthesis_is_idempotent_in_structure() {
     let mut opts = SynthesisOptions::new();
     opts.secondary_ports = false; // port muxes would nest otherwise
     let twice = synthesize(&once.rsn, &opts).expect("second");
-    let report = analyze(&twice.rsn, HardeningProfile::hardened());
+    let report = metric(&twice.rsn, HardeningProfile::hardened());
     assert!(report.avg_segments > 0.98, "{report}");
 }
 

@@ -55,11 +55,21 @@ pub(crate) fn structural(rsn: &Rsn) -> Vec<Diagnostic> {
 /// Select checks (`RSN002`, `RSN001`): for every segment, prove that the
 /// select predicate is satisfiable and that it agrees with active-path
 /// membership in *every* configuration, or extract a witness.
-pub(crate) fn select_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> Vec<Diagnostic> {
+///
+/// Like every SAT-backed family, returns its findings with `true` when
+/// every query was decided. An undecided query emits no finding.
+pub(crate) fn select_checks(
+    rsn: &Rsn,
+    sat: &NetworkSat,
+    scr: &mut SatScratch,
+) -> (Vec<Diagnostic>, bool) {
     let mut out = Vec::new();
+    let mut decided = true;
     for s in rsn.segments() {
         let sel = sat.select(s);
-        if !sat.satisfiable(scr, &[sel]) {
+        let outcome = sat.satisfiable(scr, &[sel]);
+        decided &= !outcome.is_unknown();
+        if outcome.is_unsat() {
             out.push(Diagnostic::new(
                 Code::NeverSelected,
                 rsn,
@@ -68,7 +78,9 @@ pub(crate) fn select_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -
             ));
         }
         let mismatch = sat.select_mismatch(s);
-        if let Some(witness) = sat.witness(rsn, scr, &[mismatch]) {
+        let found = sat.witness(rsn, scr, &[mismatch]);
+        decided &= found.is_ok();
+        if let Ok(Some(witness)) = found {
             out.push(
                 Diagnostic::new(
                     Code::SelectPathMismatch,
@@ -81,13 +93,18 @@ pub(crate) fn select_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -
             );
         }
     }
-    out
+    (out, decided)
 }
 
 /// Multiplexer checks (`RSN003`, `RSN004`, `RSN005`): per input, prove
 /// selectability; per mux, prove the decoded address stays in range.
-pub(crate) fn mux_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> Vec<Diagnostic> {
+pub(crate) fn mux_checks(
+    rsn: &Rsn,
+    sat: &NetworkSat,
+    scr: &mut SatScratch,
+) -> (Vec<Diagnostic>, bool) {
     let mut out = Vec::new();
+    let mut decided = true;
     for m in rsn.muxes() {
         let mux = rsn.node(m).as_mux().expect("mux");
         let n_inputs = mux.inputs.len();
@@ -96,8 +113,11 @@ pub(crate) fn mux_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> V
             let c = sat.mux_cond(m, k);
             alive.push(sat.satisfiable(scr, &[c]));
         }
-        let alive_count = alive.iter().filter(|&&a| a).count();
-        if alive_count <= 1 {
+        let alive_count = alive.iter().filter(|a| a.is_sat()).count();
+        if alive.iter().any(|a| a.is_unknown()) {
+            // Both findings below count the live inputs.
+            decided = false;
+        } else if alive_count <= 1 {
             out.push(Diagnostic::new(
                 Code::MuxNeverSwitches,
                 rsn,
@@ -108,8 +128,8 @@ pub(crate) fn mux_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> V
                 ),
             ));
         } else {
-            for (k, &a) in alive.iter().enumerate() {
-                if !a {
+            for (k, a) in alive.iter().enumerate() {
+                if a.is_unsat() {
                     out.push(
                         Diagnostic::new(
                             Code::DeadMuxInput,
@@ -126,7 +146,9 @@ pub(crate) fn mux_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> V
             }
         }
         if let Some(overflow) = sat.addr_overflow(m) {
-            if let Some(witness) = sat.witness(rsn, scr, &[overflow]) {
+            let found = sat.witness(rsn, scr, &[overflow]);
+            decided &= found.is_ok();
+            if let Ok(Some(witness)) = found {
                 out.push(
                     Diagnostic::new(
                         Code::MuxAddressOverflow,
@@ -142,7 +164,7 @@ pub(crate) fn mux_checks(rsn: &Rsn, sat: &NetworkSat, scr: &mut SatScratch) -> V
             }
         }
     }
-    out
+    (out, decided)
 }
 
 /// Shadow-controllability (`RSN010`): every register whose bits feed
@@ -152,15 +174,18 @@ pub(crate) fn controllability(
     rsn: &Rsn,
     sat: &NetworkSat,
     scr: &mut SatScratch,
-) -> Vec<Diagnostic> {
+) -> (Vec<Diagnostic>, bool) {
     let consumers = control_consumers(rsn);
     let mut out = Vec::new();
+    let mut decided = true;
     for (reg, users) in consumers {
         if rsn.shadow_offset(reg).is_none() {
             continue; // reported as RSN006 by the structural pass
         }
         let on = sat.onpath(reg);
-        if !sat.satisfiable(scr, &[on]) {
+        let outcome = sat.satisfiable(scr, &[on]);
+        decided &= !outcome.is_unknown();
+        if outcome.is_unsat() {
             out.push(
                 Diagnostic::new(
                     Code::UncontrollableControlRegister,
@@ -176,7 +201,7 @@ pub(crate) fn controllability(
             );
         }
     }
-    out
+    (out, decided)
 }
 
 /// Control-dependency cycles (`RSN009`): SCCs of the graph with an edge

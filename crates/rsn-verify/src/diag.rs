@@ -234,9 +234,9 @@ pub struct VerifyReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Checks that ran (stable names, see DESIGN.md).
     pub checks_run: Vec<&'static str>,
-    /// Checks that were requested but starved by a resource budget; their
-    /// properties are *unproven*, not passed (stable names, as in
-    /// [`VerifyReport::checks_run`]).
+    /// Checks that were requested but starved by a resource budget, or
+    /// that left a SAT query undecided; their properties are *unproven*,
+    /// not passed (stable names, as in [`VerifyReport::checks_run`]).
     pub incomplete: Vec<&'static str>,
     /// Number of SAT queries issued.
     pub sat_queries: usize,
@@ -263,13 +263,13 @@ impl VerifyReport {
     /// `true` if no error-severity finding was made.
     ///
     /// A clean but [incomplete](VerifyReport::is_complete) report is *not*
-    /// a proof: starved check families were never run.
+    /// a proof: its incomplete check families proved nothing.
     pub fn is_clean(&self) -> bool {
         self.error_count() == 0
     }
 
-    /// `true` if every requested check family actually ran (none was
-    /// starved by a resource budget).
+    /// `true` if every requested check family ran to a decision (none was
+    /// starved by a resource budget or left a SAT query undecided).
     pub fn is_complete(&self) -> bool {
         self.incomplete.is_empty()
     }
@@ -301,13 +301,13 @@ impl VerifyReport {
         for fam in &self.incomplete {
             let _ = writeln!(
                 out,
-                "UNPROVEN {fam}: budget exhausted before this check family ran",
+                "UNPROVEN {fam}: budget exhausted or a SAT query left undecided",
             );
         }
         if !self.incomplete.is_empty() {
             let _ = writeln!(
                 out,
-                "INCOMPLETE: budget exhausted before {} — unproven, not passed",
+                "INCOMPLETE: {} — unproven, not passed",
                 self.incomplete.join(", "),
             );
         }

@@ -8,7 +8,7 @@
 //! the node. Every
 //! check of the exhaustive engine is a satisfiability question over this
 //! single formula, so the CNF is built once per network and each query is
-//! one [`Solver::solve_with`](rsn_sat::Solver::solve_with) call — learnt
+//! one [`Solver::solve_with_under`](rsn_sat::Solver::solve_with_under) call — learnt
 //! clauses carry over between queries *within one scratch*.
 //!
 //! The model itself is immutable after [`NetworkSat::build`]: every
@@ -19,8 +19,9 @@
 
 use std::collections::HashMap;
 
+use rsn_budget::{Budget, Reason};
 use rsn_core::{Config, ControlExpr, InputId, NodeId, NodeKind, Rsn};
-use rsn_sat::{CnfBuilder, Lit, Solver};
+use rsn_sat::{CnfBuilder, Lit, SolveOutcome, Solver};
 
 /// Structural provenance of an emitted clause: which piece of the
 /// network the clause encodes. Stored once per clause as an index into a
@@ -301,15 +302,21 @@ impl NetworkSat {
 
     /// Asks whether the formula is satisfiable under `assumptions`; on
     /// success extracts the witness configuration from the model.
+    ///
+    /// # Errors
+    ///
+    /// The [`Reason`] the query was left undecided: only a cancelled solve
+    /// (an injected `sat.solve` failpoint) gets here.
     pub fn witness(
         &self,
         rsn: &Rsn,
         scratch: &mut SatScratch,
         assumptions: &[Lit],
-    ) -> Option<Config> {
-        scratch.queries += 1;
-        if !scratch.solver.solve_with(assumptions) {
-            return None;
+    ) -> Result<Option<Config>, Reason> {
+        match self.satisfiable(scratch, assumptions) {
+            SolveOutcome::Sat => {}
+            SolveOutcome::Unsat => return Ok(None),
+            SolveOutcome::Unknown { reason, .. } => return Err(reason),
         }
         let mut config = Config::zeroed(self.bits.len(), rsn.num_inputs());
         for (i, &l) in self.bits.iter().enumerate() {
@@ -322,14 +329,16 @@ impl NetworkSat {
                 config.set_input(InputId(i as u32), true);
             }
         }
-        Some(config)
+        Ok(Some(config))
     }
 
     /// Asks whether the formula is satisfiable under `assumptions`
-    /// without extracting a model.
-    pub fn satisfiable(&self, scratch: &mut SatScratch, assumptions: &[Lit]) -> bool {
+    /// without extracting a model. Queries run without a budget limit.
+    pub fn satisfiable(&self, scratch: &mut SatScratch, assumptions: &[Lit]) -> SolveOutcome {
         scratch.queries += 1;
-        scratch.solver.solve_with(assumptions)
+        scratch
+            .solver
+            .solve_with_under(assumptions, &Budget::default())
     }
 
     /// Number of variables in the model (state literals plus Tseitin

@@ -1023,7 +1023,8 @@ fn cube_to_fixes(
 ///   refuted property satisfiable.
 ///
 /// Returns `None` for graph-derived codes (no SAT-level replay
-/// semantics) and for incomplete explanations.
+/// semantics), for incomplete explanations and when the replay query is
+/// left undecided.
 pub fn replay_eliminates(rsn: &Rsn, sat: &NetworkSat, d: &Diagnostic) -> Option<bool> {
     let e = d.explanation.as_ref()?;
     if !e.complete {
@@ -1061,7 +1062,14 @@ pub fn replay_eliminates(rsn: &Rsn, sat: &NetworkSat, d: &Diagnostic) -> Option<
                 let blocking: Vec<Lit> = blocking.into_iter().map(|l| !l).collect();
                 scratch.solver_mut().add_clause(blocking);
             }
-            Some(!scratch.solver_mut().solve_with(&[finding]))
+            match scratch
+                .solver_mut()
+                .solve_with_under(&[finding], &Budget::default())
+            {
+                SolveOutcome::Unsat => Some(true),
+                SolveOutcome::Sat => Some(false),
+                SolveOutcome::Unknown { .. } => None,
+            }
         }
         Code::NeverSelected | Code::UncontrollableControlRegister => {
             if e.core.is_empty() {

@@ -41,7 +41,7 @@ pub use explain::{
 use rsn_budget::Budget;
 use rsn_core::Rsn;
 
-/// Which check families [`verify_with`] runs. All are on by default.
+/// Which check families [`verify_under`] runs. All are on by default.
 ///
 /// Select and mux checks are meaningless on networks whose selects were
 /// never materialized (`SelectMode::Never` leaves constant-true
@@ -91,29 +91,26 @@ impl VerifyOptions {
     }
 }
 
-/// Verifies `rsn` with every check enabled.
+/// Verifies `rsn` with every check enabled and no budget limit.
 pub fn verify(rsn: &Rsn) -> VerifyReport {
-    verify_with(rsn, VerifyOptions::default())
+    verify_under(rsn, VerifyOptions::default(), &Budget::default())
 }
 
-/// Verifies `rsn` with the selected check families.
+/// Verifies `rsn` with the selected check families, bounded by a
+/// [`Budget`].
 ///
 /// Builds one CNF model of the network's control logic and active-path
 /// membership, then answers every semantic question with an incremental
 /// assumption query against it. The returned report orders diagnostics
 /// by check family, then by node.
-pub fn verify_with(rsn: &Rsn, opts: VerifyOptions) -> VerifyReport {
-    verify_under(rsn, opts, &Budget::unlimited())
-}
-
-/// Like [`verify_with`], bounded by a [`Budget`].
 ///
 /// One work unit is spent per check family. Families the budget starves
 /// are recorded in [`VerifyReport::incomplete`] — their properties are
 /// *unproven*, never silently passed — and `lint.incomplete` /
-/// `budget.exhausted` events are counted. Families that did run report
-/// exactly as under [`verify_with`]; with an unlimited budget the result
-/// is identical.
+/// `budget.exhausted` events are counted. A SAT-backed family with an
+/// undecided query (a cancelled solve) is recorded there too; its
+/// decided queries still report. The SAT queries themselves run without
+/// a limit.
 pub fn verify_under(rsn: &Rsn, opts: VerifyOptions, budget: &Budget) -> VerifyReport {
     verify_impl(rsn, opts, budget, None)
 }
@@ -164,72 +161,47 @@ fn verify_impl(
         }
     }
 
-    let needs_sat = opts.select_checks || opts.mux_checks || opts.controllability;
-    if needs_sat {
-        // Built lazily so a fully starved run skips the CNF encoding
-        // (unless a resident caller already holds a shared model). The
-        // model is immutable; this run's solver state lives in its own
-        // scratch.
-        let mut owned: Option<NetworkSat> = None;
-        let mut scratch: Option<SatScratch> = None;
-        if opts.select_checks {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("selects");
-                report
-                    .diagnostics
-                    .extend(checks::select_checks(rsn, sat, scr));
-            } else {
-                report.incomplete.push("selects");
-            }
+    // Built lazily so a fully starved run skips the CNF encoding (unless
+    // a resident caller already holds a shared model). The model is
+    // immutable; this run's solver state lives in its own scratch.
+    let mut owned: Option<NetworkSat> = None;
+    let mut scratch: Option<SatScratch> = None;
+    let sat_families: [(_, _, fn(&_, &_, &mut _) -> _); 3] = [
+        (opts.select_checks, "selects", checks::select_checks),
+        (opts.mux_checks, "muxes", checks::mux_checks),
+        (
+            opts.controllability,
+            "controllability",
+            checks::controllability,
+        ),
+    ];
+    for (enabled, family, check) in sat_families {
+        if !enabled {
+            continue;
         }
-        if opts.mux_checks {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("muxes");
-                report.diagnostics.extend(checks::mux_checks(rsn, sat, scr));
-            } else {
-                report.incomplete.push("muxes");
-            }
+        if budget.check().is_err() {
+            report.incomplete.push(family);
+            continue;
         }
-        if opts.controllability {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("controllability");
-                report
-                    .diagnostics
-                    .extend(checks::controllability(rsn, sat, scr));
-            } else {
-                report.incomplete.push("controllability");
-            }
+        let sat = match shared {
+            Some(s) => s,
+            None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
+        };
+        let scr = scratch.get_or_insert_with(|| {
+            let mut s = sat.scratch();
+            s.set_threads(opts.solver_threads);
+            s
+        });
+        let (diagnostics, decided) = check(rsn, sat, scr);
+        report.diagnostics.extend(diagnostics);
+        if decided {
+            report.checks_run.push(family);
+        } else {
+            report.incomplete.push(family);
         }
-        if let Some(scr) = &scratch {
-            report.sat_queries = scr.queries();
-        }
+    }
+    if let Some(scr) = &scratch {
+        report.sat_queries = scr.queries();
     }
 
     if opts.control_cycles {
@@ -400,7 +372,7 @@ mod tests {
     #[test]
     fn options_disable_check_families() {
         let rsn = examples::fig2();
-        let report = verify_with(
+        let report = verify_under(
             &rsn,
             VerifyOptions {
                 select_checks: false,
@@ -410,6 +382,7 @@ mod tests {
                 control_cycles: true,
                 solver_threads: 1,
             },
+            &Budget::default(),
         );
         assert_eq!(report.sat_queries, 0);
         assert!(!report.checks_run.contains(&"selects"));
@@ -469,7 +442,7 @@ mod tests {
     #[test]
     fn unlimited_budget_verify_matches_unbudgeted() {
         let rsn = examples::fig2();
-        let plain = verify_with(&rsn, VerifyOptions::default());
+        let plain = verify(&rsn);
         let budgeted = verify_under(&rsn, VerifyOptions::default(), &Budget::unlimited());
         assert_eq!(plain, budgeted);
         assert!(budgeted.is_complete());

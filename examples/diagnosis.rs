@@ -6,7 +6,7 @@
 //! ```
 
 use ftrsn::fault::diagnose::{FaultDictionary, Signature};
-use ftrsn::fault::{Fault, FaultSite, HardeningProfile};
+use ftrsn::fault::{AccessEngine, Fault, FaultSite, HardeningProfile};
 use ftrsn::itc02::parse_soc;
 use ftrsn::sib::generate;
 
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // The tester measures which segments are still accessible.
-    let observed = Signature::predicted(&rsn, &injected, profile);
+    let engine = AccessEngine::new(&rsn);
+    let observed = Signature::predicted_on(&engine, &mut engine.scratch(), &injected, profile);
     println!(
         "observed: {}/{} segments inaccessible",
         observed.failures(),
@@ -68,7 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         value: false,
         weight: 1,
     };
-    let ft_observed = Signature::predicted(&ft.rsn, &ft_fault, HardeningProfile::hardened());
+    let ft_engine = AccessEngine::new(&ft.rsn);
+    let ft_observed = Signature::predicted_on(
+        &ft_engine,
+        &mut ft_engine.scratch(),
+        &ft_fault,
+        HardeningProfile::hardened(),
+    );
     println!(
         "\nsame fault in the fault-tolerant network: {}/{} segments inaccessible",
         ft_observed.failures(),

@@ -7,7 +7,7 @@
 //! ```
 
 use ftrsn::core::Rsn;
-use ftrsn::fault::{accessibility, effect_of, fault_universe, HardeningProfile};
+use ftrsn::fault::{effect_of, fault_universe, AccessEngine, HardeningProfile};
 use ftrsn::itc02::parse_soc;
 use ftrsn::sib::generate;
 use ftrsn::synth::{synthesize, SynthesisOptions};
@@ -17,6 +17,7 @@ fn report(rsn: &Rsn, profile: HardeningProfile, label: &str) {
     // Inject every data fault at segments named in the walkthrough and
     // show who survives.
     let interesting = ["m1.sib", "m1.c0.seg", "m2.c0.sib"];
+    let engine = AccessEngine::new(rsn);
     for fault in fault_universe(rsn) {
         let node = fault.site.node();
         let name = rsn.node(node).name();
@@ -26,7 +27,7 @@ fn report(rsn: &Rsn, profile: HardeningProfile, label: &str) {
             continue;
         }
         let effect = effect_of(rsn, &fault, profile);
-        let acc = accessibility(rsn, &effect);
+        let acc = engine.accessibility(&effect, &mut engine.scratch());
         let lost: Vec<&str> = rsn
             .segments()
             .filter(|s| !acc.accessible[s.index()])
@@ -79,7 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         weight: 2,
     };
     let effect = effect_of(&ft.rsn, &fault, HardeningProfile::hardened());
-    let acc = accessibility(&ft.rsn, &effect);
+    let engine = AccessEngine::new(&ft.rsn);
+    let acc = engine.accessibility(&effect, &mut engine.scratch());
     let leaf = ft.rsn.find("m1.c0.seg").expect("exists");
     println!(
         "\nwith m1.sib stuck-at-0, m1.c0.seg accessible in FT network: {}",

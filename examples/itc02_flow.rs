@@ -10,7 +10,8 @@
 use std::env;
 use std::fs;
 
-use ftrsn::fault::{analyze_parallel, HardeningProfile};
+use ftrsn::budget::Budget;
+use ftrsn::fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 use ftrsn::itc02::{by_name, parse_soc, Soc};
 use ftrsn::sib::{generate, stats};
 use ftrsn::synth::area::{costs, AreaModel, Overhead};
@@ -48,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         st.sibs, st.leaves, st.top_registers, st.bits, st.levels
     );
 
-    let before = analyze_parallel(&rsn, HardeningProfile::unhardened());
+    let before = analyze_parallel_budgeted(
+        &rsn,
+        HardeningProfile::unhardened(),
+        WeightModel::Ports,
+        &Budget::default(),
+    );
     println!("original accessibility: {before}");
 
     let result = synthesize(&rsn, &SynthesisOptions::new())?;
@@ -64,7 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
-    let after = analyze_parallel(&result.rsn, HardeningProfile::hardened());
+    let after = analyze_parallel_budgeted(
+        &result.rsn,
+        HardeningProfile::hardened(),
+        WeightModel::Ports,
+        &Budget::default(),
+    );
     println!("fault-tolerant accessibility: {after}");
 
     let model = AreaModel::default();

@@ -4,8 +4,9 @@
 //! cargo run --example quickstart
 //! ```
 
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
-use ftrsn::fault::{analyze, HardeningProfile};
+use ftrsn::fault::{analyze_parallel_budgeted, HardeningProfile, WeightModel};
 use ftrsn::synth::area::{costs, AreaModel, Overhead};
 use ftrsn::synth::{synthesize, SynthesisOptions};
 
@@ -21,7 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Quantify its fault tolerance: fraction of segments accessible in
     //    presence of each single stuck-at fault.
-    let before = analyze(&rsn, HardeningProfile::unhardened());
+    let before = analyze_parallel_budgeted(
+        &rsn,
+        HardeningProfile::unhardened(),
+        WeightModel::Ports,
+        &Budget::default(),
+    );
     println!("before synthesis: {before}");
 
     // 3. Synthesize the fault-tolerant network (connectivity augmentation
@@ -37,7 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Quantify again.
-    let after = analyze(&result.rsn, HardeningProfile::hardened());
+    let after = analyze_parallel_budgeted(
+        &result.rsn,
+        HardeningProfile::hardened(),
+        WeightModel::Ports,
+        &Budget::default(),
+    );
     println!("after synthesis:  {after}");
 
     // 5. What did it cost?
