@@ -18,6 +18,12 @@
 //! non-zero. `--verify` additionally gates the synthesis itself: the
 //! fault-tolerant network is verified (including the
 //! ineffective-augmentation check) before it is accepted.
+//!
+//! Exit codes: `0` — success (also for `--help`); `1` — a runtime
+//! failure (unreadable or malformed input, generation, synthesis or
+//! write error) or error-severity lint findings; `2` — bad arguments
+//! (no input, an unknown flag, a missing or malformed value), with the
+//! usage printed.
 
 use std::env;
 use std::fs;
@@ -31,28 +37,31 @@ use rsn_itc02::{by_name, parse_soc};
 use rsn_sib::generate;
 use rsn_synth::{synthesize, SolverChoice, SynthesisOptions};
 
-fn usage() -> ExitCode {
+/// Exit code for a bad invocation.
+const EXIT_USAGE: u8 = 2;
+
+fn usage(code: u8) -> ExitCode {
     eprintln!(
         "usage: soc2rsn <input.soc | embedded-name> [--ft] [--out DIR] \
          [--solver auto|ilp|greedy] [--alpha F] [--no-ports] [--report] \
          [--lint] [--verify]"
     );
-    ExitCode::FAILURE
+    eprintln!("  exit codes: 0 success, 1 runtime failure or lint errors, 2 bad arguments");
+    ExitCode::from(code)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let Some(input) = args.first() else {
-        return usage();
-    };
+    let mut input: Option<&str> = None;
     let mut ft = false;
     let mut out_dir = PathBuf::from(".");
     let mut report = false;
     let mut lint = false;
     let mut opts = SynthesisOptions::new();
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => return usage(0),
             "--ft" => ft = true,
             "--report" => report = true,
             "--lint" => lint = true,
@@ -60,13 +69,17 @@ fn main() -> ExitCode {
             "--no-ports" => opts.secondary_ports = false,
             "--out" => {
                 i += 1;
-                let Some(d) = args.get(i) else { return usage() };
+                let Some(d) = args.get(i) else {
+                    eprintln!("error: --out needs a directory");
+                    return usage(EXIT_USAGE);
+                };
                 out_dir = PathBuf::from(d);
             }
             "--alpha" => {
                 i += 1;
                 let Some(a) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    return usage();
+                    eprintln!("error: --alpha needs a number");
+                    return usage(EXIT_USAGE);
                 };
                 opts.augment.alpha = a;
             }
@@ -76,13 +89,28 @@ fn main() -> ExitCode {
                     Some("auto") => SolverChoice::Auto,
                     Some("ilp") => SolverChoice::Ilp,
                     Some("greedy") => SolverChoice::Greedy,
-                    _ => return usage(),
+                    _ => {
+                        eprintln!("error: --solver needs auto, ilp or greedy");
+                        return usage(EXIT_USAGE);
+                    }
                 };
             }
-            _ => return usage(),
+            other if other.starts_with('-') => {
+                eprintln!("error: unknown flag {other}");
+                return usage(EXIT_USAGE);
+            }
+            other if input.is_none() => input = Some(other),
+            other => {
+                eprintln!("error: more than one input ({other})");
+                return usage(EXIT_USAGE);
+            }
         }
         i += 1;
     }
+    let Some(input) = input else {
+        eprintln!("error: no input given");
+        return usage(EXIT_USAGE);
+    };
 
     // Load: embedded benchmark name or .soc file.
     let soc = match by_name(input) {

@@ -60,7 +60,7 @@
 //! With `--bench-sat PATH`, only the SAT-engine comparison runs: each
 //! selected benchmark's verify run and fault-distinguishability miters
 //! are solved once serially and once through the portfolio
-//! (`RSN_THREADS`, at least 4 workers), and a `bench-sat-v1` JSON
+//! (`RSN_THREADS` workers, default: the core count), and a `bench-sat-v1` JSON
 //! document (per-row wall-clock, conflicts, verdict agreement and
 //! speedup) is written to PATH. Defaults to `u226` + `p93791` when no
 //! `--bench` is given.
@@ -363,9 +363,7 @@ fn run_bench_access(names: &[&str], path: &str) {
 }
 
 fn run_bench_sat(names: &[&str], path: &str) {
-    // The acceptance bar is "4+ threads": honor RSN_THREADS when it asks
-    // for more, never measure the portfolio below four workers.
-    let threads = rsn_budget::default_threads().max(4);
+    let threads = rsn_budget::default_threads();
     println!("SAT engine: serial vs portfolio ({threads} threads)");
     println!(
         "{:<8} {:<17} {:>9} {:>9} {:>9} {:>9} {:>6} {:>8}",

@@ -10,8 +10,9 @@
 //! * [`CnfBuilder`] — Tseitin encoding of circuits (AND/OR/NOT/XOR/ITE,
 //!   equality, at-most-one) on top of a solver ([`cnf`]).
 //! * DIMACS parsing and emission ([`dimacs`]).
-//! * Parallel solving — a diversified CDCL portfolio with a shared
-//!   learnt-clause ring and cube-and-conquer escalation
+//! * Parallel solving — an escalation ladder (serial burst, root
+//!   probing, bounded variable elimination) ending in a race of
+//!   diversified CDCL workers over a shared learnt-clause ring
 //!   ([`portfolio`], [`pool`]); see
 //!   [`Solver::set_threads`] and [`Solver::solve_with_under`].
 //!

@@ -1,31 +1,38 @@
-//! Portfolio CDCL with shared learnt clauses and cube-and-conquer.
+//! Portfolio CDCL with shared learnt clauses.
 //!
 //! A budgeted solve ([`Solver::solve_with_under`]) on a solver
-//! configured with [`Solver::set_threads`] > 1 races `N` diversified
-//! CDCL workers, each a clone of the caller's solver:
+//! configured with [`Solver::set_threads`] > 1 climbs a short escalation
+//! ladder; each step runs only on a query the previous one left
+//! undecided:
 //!
-//! * **Diversification** — each worker gets a different restart schedule
-//!   (Luby bases / geometric), VSIDS decay and phase-polarity seed, so
-//!   the workers walk different parts of the search space (the
-//!   SatSwarm-style grid of heterogeneous solver nodes, collapsed into
-//!   one process).
-//! * **Clause sharing** — every learnt clause with LBD ≤ 6 and at most
-//!   12 literals is published to a lock-light ring ([`ClausePool`]);
-//!   workers import foreign clauses at restart boundaries, at decision
-//!   level 0. Learnt clauses are implied by the formula alone, so
-//!   sharing is sound across workers regardless of their (cube)
-//!   assumptions.
-//! * **First winner cancels the rest** — via a portfolio-local stop
-//!   flag checked at conflict and decision boundaries. The caller's
-//!   [`Budget`] (deadline / work / `CancelToken`) is shared by all
-//!   workers, so external cancellation still tears the whole solve down.
-//! * **Cube-and-conquer escalation** — an instance on which every
-//!   worker exhausts its conflict quota is split on the top-k VSIDS
-//!   variables into `2^k` assumption cubes, drained through an
-//!   atomic-cursor claiming loop (the `sweep.rs` batch-claiming pattern,
-//!   batch size 1 — cubes are few and heavy). A Sat cube wins globally;
-//!   if every cube is refuted the union of the per-cube assumption
-//!   cores is a valid core for the whole query.
+//! 1. **Serial burst** — the plain serial loop on the calling thread
+//!    under a small conflict quota. Almost every verify/BMC query
+//!    decides here and pays nothing for the portfolio.
+//! 2. **Root probing** — failed-literal probing of the burst's most
+//!    active variables fixes root units every later step inherits.
+//! 3. **Bounded variable elimination** — NiVER (`eliminate.rs`) shrinks
+//!    Tseitin-heavy instances; the reduced formula re-enters the ladder
+//!    (minus this step) on a scratch solver.
+//! 4. **Diversified race to a verdict** — one clone of the caller's
+//!    solver per free core, at most `threads`:
+//!    * *Diversification* — each worker gets a different restart
+//!      schedule (Luby bases / geometric), VSIDS decay and phase-polarity
+//!      seed, so the workers walk different parts of the search space
+//!      (the SatSwarm-style grid of heterogeneous solver nodes, collapsed
+//!      into one process).
+//!    * *Clause sharing* — every learnt clause with LBD ≤ 6 and at most
+//!      12 literals is published to a lock-light ring ([`ClausePool`]);
+//!      workers import foreign clauses at restart boundaries, at decision
+//!      level 0. Learnt clauses are implied by the formula alone, so
+//!      sharing is sound across workers.
+//!    * *First winner cancels the rest* — via a portfolio-local stop
+//!      flag checked at conflict and decision boundaries. The caller's
+//!      [`Budget`] (deadline / work / `CancelToken`) is shared by all
+//!      workers, so external cancellation still tears the whole solve
+//!      down.
+//!
+//!    With one free core the race is pure time-slicing, so the serial
+//!    loop simply continues on the caller's solver instead.
 //!
 //! The winner's solver is copied back into the caller's, so models
 //! ([`Solver::value`]), failed-assumption cores ([`Solver::core`]) and
@@ -35,9 +42,9 @@
 //! still produced and the caller never deadlocks.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use rsn_budget::{Budget, Reason};
+use rsn_budget::Budget;
 
 use crate::lit::{Lit, Var};
 use crate::pool::ClausePool;
@@ -50,10 +57,6 @@ use crate::solver::{RestartSchedule, SearchConfig, SolveOutcome, Solver, Stats};
 /// clones, no thread spawns). Only instances that survive this burst
 /// are worth parallel effort.
 const PHASE0_QUOTA: u64 = 3_000;
-
-/// Conflicts each phase-1 worker may spend before the instance is
-/// declared portfolio-resistant and handed to cube-and-conquer.
-const PHASE1_QUOTA: u64 = 30_000;
 
 /// Slots in the shared clause ring.
 const POOL_CAPACITY: usize = 4096;
@@ -74,7 +77,8 @@ pub(crate) struct ParaCtx<'a> {
     pub pool: Option<&'a ClausePool>,
     /// Worker id, used to skip own clauses on import.
     pub author: usize,
-    /// Phase-1 conflict quota; `None` runs to verdict or budget.
+    /// Conflict quota of the phase-0 burst; `None` runs to verdict or
+    /// budget.
     pub quota: Option<u64>,
     /// Pool watermark of this worker's last import.
     pub last_seen: Cell<u64>,
@@ -159,9 +163,9 @@ fn strategy(i: usize) -> (&'static str, SearchConfig) {
 
 struct PortfolioRun {
     outcome: SolveOutcome,
-    /// Strategy name of the decisive worker, if any.
+    /// The ladder step that decided the query, if any: `phase0`,
+    /// `eliminate`, a strategy name, `serial` or `serial-fallback`.
     winner: Option<&'static str>,
-    cubes: u64,
     /// Root literals fixed by escalation failed-literal probing.
     probe_fixed: u64,
     /// Variables resolved out by escalation bounded variable
@@ -169,18 +173,14 @@ struct PortfolioRun {
     eliminated: u64,
 }
 
-/// Entry point used by [`Solver::solve_with_under`] when `threads > 1`. Owns the
-/// whole observability export for the logical solve (the workers bypass
-/// the instrumented wrapper), mirroring the serial counter set and
-/// adding the portfolio-specific metrics.
+/// Entry point used by [`Solver::solve_with_under`] when `threads > 1`.
+/// The caller exports the counters every solve shares (the workers
+/// bypass it); this adds only the portfolio-specific metrics.
 pub(crate) fn solve_portfolio(
     base: &mut Solver,
     assumptions: &[Lit],
     budget: &Budget,
 ) -> SolveOutcome {
-    let _trace = rsn_obs::TraceGuard::new("sat_solve");
-    let start = std::time::Instant::now();
-    let before = base.stats();
     let pool = ClausePool::new(POOL_CAPACITY);
     let run = run_portfolio(
         base,
@@ -189,24 +189,10 @@ pub(crate) fn solve_portfolio(
         base.threads().min(64),
         &pool,
         PHASE0_QUOTA,
-        PHASE1_QUOTA,
         true,
     );
-    let after = base.stats();
-    let conflicts = after.conflicts - before.conflicts;
-    rsn_obs::counter_add("sat.solves", 1);
-    rsn_obs::counter_add("sat.conflicts", conflicts);
-    rsn_obs::counter_add("sat.decisions", after.decisions - before.decisions);
-    rsn_obs::counter_add("sat.propagations", after.propagations - before.propagations);
-    rsn_obs::counter_add("sat.restarts", after.restarts - before.restarts);
-    rsn_obs::hist_record("sat.solve_ns", start.elapsed().as_nanos() as u64);
-    rsn_obs::hist_record("sat.solve_conflicts", conflicts);
-    rsn_obs::counter_add("budget.spent{engine=sat}", conflicts + 1);
     rsn_obs::counter_add("sat.pool_exports", pool.exports());
     rsn_obs::counter_add("sat.pool_imports", pool.imports());
-    if run.cubes > 0 {
-        rsn_obs::counter_add("sat.cubes", run.cubes);
-    }
     if run.probe_fixed > 0 {
         rsn_obs::counter_add("sat.probe_units", run.probe_fixed);
     }
@@ -216,19 +202,6 @@ pub(crate) fn solve_portfolio(
     if let Some(name) = run.winner {
         rsn_obs::counter_add(&format!("sat.portfolio_winner{{strategy={name}}}"), 1);
     }
-    let lbd = base.take_lbd_hist();
-    if !lbd.is_empty() {
-        rsn_obs::hist_merge("sat.learnt_lbd", &lbd);
-    }
-    match run.outcome {
-        SolveOutcome::Sat => rsn_obs::counter_add("sat.sat", 1),
-        SolveOutcome::Unsat => rsn_obs::counter_add("sat.unsat", 1),
-        SolveOutcome::Unknown { reason, .. } => {
-            rsn_obs::counter_add("sat.unknown", 1);
-            rsn_obs::counter_add("budget.exhausted", 1);
-            rsn_obs::record_budget_trip("sat", reason.as_str());
-        }
-    }
     run.outcome
 }
 
@@ -237,18 +210,17 @@ struct WorkerReturn {
     /// This worker claimed the decisive verdict.
     won: bool,
     outcome: SolveOutcome,
-    /// Worker id (stable across phases, used as the pool author id).
+    /// Worker id: its strategy row and its pool author id.
     author: usize,
 }
 
-/// The quotas are parameters (rather than reading the constants
-/// directly) so tests can pin each escalation phase deterministically;
-/// production callers pass [`PHASE0_QUOTA`] / [`PHASE1_QUOTA`]. A zero
-/// `phase0_quota` skips the serial burst outright. `inprocess` enables
-/// the bounded-variable-elimination escalation step; tests pinning the
-/// race/cube phases pass `false` to keep those paths reachable on any
-/// instance.
-#[allow(clippy::too_many_arguments)]
+/// Runs the escalation ladder. The burst quota is a parameter (rather
+/// than reading [`PHASE0_QUOTA`] directly) so tests can pin the
+/// escalation deterministically; a zero `phase0_quota` skips the burst
+/// outright. `inprocess` enables the bounded-variable-elimination step;
+/// tests pinning the race pass `false` to keep it reachable on any
+/// instance. Every path leaves the caller's search configuration and
+/// thread count in place.
 fn run_portfolio(
     base: &mut Solver,
     assumptions: &[Lit],
@@ -256,38 +228,6 @@ fn run_portfolio(
     threads: usize,
     pool: &ClausePool,
     phase0_quota: u64,
-    phase1_quota: u64,
-    inprocess: bool,
-) -> PortfolioRun {
-    let original_config = base.search_config();
-    let original_threads = base.threads();
-    let run = run_ladder(
-        base,
-        assumptions,
-        budget,
-        threads,
-        pool,
-        phase0_quota,
-        phase1_quota,
-        inprocess,
-    );
-    // `adopt` restores the caller's configuration on the adopting paths;
-    // restore unconditionally so early returns and chaos losses cannot
-    // leave a worker's configuration behind (idempotent).
-    base.set_search_config(original_config);
-    base.set_threads(original_threads);
-    run
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ladder(
-    base: &mut Solver,
-    assumptions: &[Lit],
-    budget: &Budget,
-    threads: usize,
-    pool: &ClausePool,
-    phase0_quota: u64,
-    phase1_quota: u64,
     inprocess: bool,
 ) -> PortfolioRun {
     let original_config = base.search_config();
@@ -301,7 +241,6 @@ fn run_ladder(
                 reason: e.reason,
             },
             winner: None,
-            cubes: 0,
             probe_fixed: 0,
             eliminated: 0,
         };
@@ -311,7 +250,7 @@ fn run_ladder(
     // than a typical verify/BMC query does in total, so the portfolio
     // first runs the plain serial loop under a small conflict quota.
     // Easy queries (the overwhelming majority) decide here and pay
-    // nothing; only quota survivors escalate to phase 1.
+    // nothing; only quota survivors escalate.
     if phase0_quota > 0 {
         let never = AtomicBool::new(false);
         let burst = ParaCtx {
@@ -324,20 +263,10 @@ fn run_ladder(
         let outcome = base.solve_inner_para(assumptions, budget, Some(&burst));
         // `budget.exhausted()` separates a spent budget (give up, the
         // caller's contract) from the phase-0 quota tripping (escalate).
-        if !outcome.is_unknown() {
+        if !outcome.is_unknown() || budget.exhausted().is_some() {
             return PortfolioRun {
                 outcome,
-                winner: Some("phase0"),
-                cubes: 0,
-                probe_fixed: 0,
-                eliminated: 0,
-            };
-        }
-        if budget.exhausted().is_some() {
-            return PortfolioRun {
-                outcome,
-                winner: None,
-                cubes: 0,
+                winner: (!outcome.is_unknown()).then_some("phase0"),
                 probe_fixed: 0,
                 eliminated: 0,
             };
@@ -347,10 +276,10 @@ fn run_ladder(
     // ---- Escalation inprocessing: root failed-literal probing --------
     // Quota survivors are the rare hard queries, and the burst's VSIDS
     // activity points straight at the variables the search keeps
-    // fighting over. Before spending anything on clones or cubes, probe
-    // the top-activity variables in both polarities at the root: failed
+    // fighting over. Before spending anything on clones, probe the
+    // top-activity variables in both polarities at the root: failed
     // literals and both-branch implications become permanent level-0
-    // units that every later phase inherits. On Tseitin-heavy miters
+    // units that every later step inherits. On Tseitin-heavy miters
     // this collapses whole gate cones for the price of unit propagation.
     // Probing perturbs saved phases, so it lives on the parallel path
     // only — the `threads == 1` bit-identical contract never gets here.
@@ -368,15 +297,16 @@ fn run_ladder(
     // variables occurring in a handful of short clauses; NiVER-style
     // elimination (see [`crate::eliminate`]) shrinks such instances
     // several-fold, and every CDCL cost scales with live instance size.
-    // The reduced formula is solved by a recursive ladder (burst, race,
-    // cubes — minus this step) on a scratch solver; only the verdict
-    // crosses back. An Unsat core maps over directly because assumption
-    // variables are frozen; a model is extended over the eliminated
-    // variables and then validated against the caller's untouched clause
-    // database before adoption, so elimination bugs degrade to a
-    // fall-through instead of a wrong verdict. The caller's solver keeps
-    // its burst learnts either way — later incremental solves see the
-    // exact clause database they would after a serial run.
+    // The reduced formula is solved by a recursive ladder (burst,
+    // probing, race — minus this step) on a scratch solver; only the
+    // verdict crosses back. An Unsat core maps over directly because
+    // assumption variables are frozen; a model is extended over the
+    // eliminated variables and then validated against the caller's
+    // untouched clause database before adoption, so elimination bugs
+    // degrade to a fall-through instead of a wrong verdict. The caller's
+    // solver keeps its burst learnts either way — later incremental
+    // solves see the exact clause database they would after a serial
+    // run.
     if inprocess && !base.unsat_latched() {
         let frozen: Vec<Var> = assumptions.iter().map(|l| l.var()).collect();
         let elim =
@@ -402,14 +332,13 @@ fn run_ladder(
                     red.add_clause(c);
                 }
             }
-            let sub = run_ladder(
+            let sub = run_portfolio(
                 &mut red,
                 assumptions,
                 budget,
                 threads,
                 pool,
                 phase0_quota,
-                phase1_quota,
                 false,
             );
             // The reduced solve's effort belongs to this logical solve.
@@ -425,14 +354,13 @@ fn run_ladder(
                         return PortfolioRun {
                             outcome: SolveOutcome::Sat,
                             winner: Some("eliminate"),
-                            cubes: sub.cubes,
                             probe_fixed,
                             eliminated,
                         };
                     }
                     // Validation failed — a defect in the elimination,
                     // not in the formula. Fall through to the unreduced
-                    // phases as if inprocessing never ran.
+                    // race as if inprocessing never ran.
                 }
                 SolveOutcome::Unsat => {
                     base.set_core_direct(red.core().to_vec());
@@ -442,7 +370,6 @@ fn run_ladder(
                     return PortfolioRun {
                         outcome: SolveOutcome::Unsat,
                         winner: Some("eliminate"),
-                        cubes: sub.cubes,
                         probe_fixed,
                         eliminated,
                     };
@@ -451,7 +378,6 @@ fn run_ladder(
                     return PortfolioRun {
                         outcome: sub.outcome,
                         winner: None,
-                        cubes: sub.cubes,
                         probe_fixed,
                         eliminated,
                     };
@@ -460,367 +386,107 @@ fn run_ladder(
         }
     }
 
-    // Captured after the burst: workers clone `base` from this point, so
-    // loser flow-deltas in `adopt` must not re-count phase-0 work.
-    let before = base.stats();
-    let stop = AtomicBool::new(false);
-    let claimed = AtomicBool::new(false);
-
     // Racing diversified workers only pays off when they actually run
     // simultaneously: with fewer free cores than workers the race
     // time-slices on the same silicon and multiplies wall-clock by the
     // worker count without pruning anything. Cap the racing width at
-    // the host's physical parallelism; a width of one means racing is
-    // pure overhead, so the ladder skips from the burst straight to
-    // cube-and-conquer (the requested thread count still sizes the
-    // cube partition, and the burst's VSIDS activity picks the split).
+    // the host's physical parallelism; with one free core the serial
+    // loop simply continues on the caller's solver, keeping the burst's
+    // learnt clauses and activity.
     let race_width = threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-
-    // ---- Phase 1: diversified portfolio under a conflict quota -------
-    let mut returns: Vec<WorkerReturn> = Vec::new();
-    if race_width > 1 {
-        run_race(
-            base,
-            assumptions,
-            budget,
-            race_width,
-            pool,
-            phase1_quota,
-            &stop,
-            &claimed,
-            &mut returns,
-        );
-
-        if let Some(w) = returns.iter().position(|r| r.won) {
-            let winner = returns.swap_remove(w);
-            let name = strategy(winner.author).0;
-            let outcome = winner.outcome;
-            adopt(
-                base,
-                winner.solver,
-                returns,
-                before,
-                original_config,
-                original_threads,
-            );
-            return PortfolioRun {
-                outcome,
-                winner: Some(name),
-                cubes: 0,
-                probe_fixed,
-                eliminated: 0,
-            };
-        }
-        if let Some(reason) = budget.exhausted() {
-            // Keep the most-informed worker's learnt clauses so a
-            // re-solve under a fresh budget resumes from real progress,
-            // exactly like the serial Unknown contract.
-            let outcome = unknown_outcome(base, &mut returns, before, reason);
-            adopt_unknown(base, returns, before, original_config, original_threads);
-            return PortfolioRun {
-                outcome,
-                winner: None,
-                cubes: 0,
-                probe_fixed,
-                eliminated: 0,
-            };
-        }
-        if returns.is_empty() {
-            // Chaos killed every worker: degrade to the serial loop
-            // (caller's exact config) so the caller still gets a sound
-            // verdict.
-            base.set_search_config(original_config);
-            let outcome = base.solve_inner_para(assumptions, budget, None);
-            return PortfolioRun {
-                outcome,
-                winner: Some("serial-fallback"),
-                cubes: 0,
-                probe_fixed,
-                eliminated: 0,
-            };
-        }
-    }
-
-    // ---- Phase 2: cube-and-conquer -----------------------------------
-    // Every surviving worker hit the conflict quota (or racing was
-    // skipped on a saturated host). Split on the top-k VSIDS variables
-    // of the most-informed solver and drain the 2^k assumption cubes
-    // through a claiming loop, clauses still shared. With a single
-    // drainer this is incremental cube solving: every cube's learnt
-    // clauses (all implied by the formula alone) carry over to the
-    // next, so refuting the partition can be far cheaper than the
-    // undirected monolithic search.
-    let mut solvers: Vec<(usize, Solver)> = if returns.is_empty() {
-        vec![(0, base.clone())]
-    } else {
-        returns.into_iter().map(|r| (r.author, r.solver)).collect()
-    };
-    for (_, s) in &mut solvers {
-        // Phases learned in phase 1 are informed now — stop scrambling.
-        let mut c = s.search_config();
-        c.phase_seed = None;
-        s.set_search_config(c);
-    }
-    let chooser = solvers
-        .iter()
-        .map(|(_, s)| s)
-        .max_by_key(|s| s.stats().conflicts)
-        .expect("returns is non-empty");
-    let assumption_vars: Vec<Var> = assumptions.iter().map(|l| l.var()).collect();
-    let mut k = 1usize;
-    while (1usize << k) < 2 * threads {
-        k += 1;
-    }
-    let split = chooser.top_active_vars(k.min(4), &assumption_vars);
-    let cubes: Vec<Vec<Lit>> = (0..(1usize << split.len()))
-        .map(|m| {
-            let mut cube = assumptions.to_vec();
-            for (j, &v) in split.iter().enumerate() {
-                cube.push(Lit::with_polarity(v, (m >> j) & 1 == 1));
-            }
-            cube
-        })
-        .collect();
-
-    enum CubeVerdict {
-        Sat,
-        Unsat(Vec<Lit>),
-        Unknown,
-    }
-    struct CubeWorker {
-        solver: Solver,
-        verdicts: Vec<CubeVerdict>,
-        won: bool,
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut workers: Vec<CubeWorker> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = solvers
-            .into_iter()
-            .map(|(author, mut solver)| {
-                let (stop, claimed, cursor, cubes, budget) =
-                    (&stop, &claimed, &cursor, &cubes, budget.clone());
-                scope.spawn(move || {
-                    let mut verdicts = Vec::new();
-                    // Same failpoint as phase 1: the eval sits before the
-                    // claiming loop so an armed `panic` never orphans a
-                    // claimed cube.
-                    if rsn_fail::eval("sat.worker").is_some() {
-                        return CubeWorker {
-                            solver,
-                            verdicts,
-                            won: false,
-                        };
-                    }
-                    let ctx = ParaCtx {
-                        stop,
-                        pool: Some(pool),
-                        author,
-                        quota: None,
-                        last_seen: Cell::new(0),
-                    };
-                    let mut won = false;
-                    loop {
-                        if ctx.stopped() {
-                            break;
-                        }
-                        let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                        if ci >= cubes.len() {
-                            break;
-                        }
-                        match solver.solve_inner_para(&cubes[ci], &budget, Some(&ctx)) {
-                            SolveOutcome::Sat => {
-                                if claimed
-                                    .compare_exchange(
-                                        false,
-                                        true,
-                                        Ordering::SeqCst,
-                                        Ordering::SeqCst,
-                                    )
-                                    .is_ok()
-                                {
-                                    stop.store(true, Ordering::SeqCst);
-                                    verdicts.push(CubeVerdict::Sat);
-                                    won = true;
-                                }
-                                break;
-                            }
-                            SolveOutcome::Unsat => {
-                                // Only the user-assumption part of the
-                                // cube core contributes to the whole-query
-                                // core; the cube literals partition the
-                                // space and cancel out in the union.
-                                let user: Vec<Lit> = solver
-                                    .core()
-                                    .iter()
-                                    .filter(|l| assumptions.contains(l))
-                                    .copied()
-                                    .collect();
-                                verdicts.push(CubeVerdict::Unsat(user));
-                            }
-                            SolveOutcome::Unknown { .. } => {
-                                verdicts.push(CubeVerdict::Unknown);
-                                break;
-                            }
-                        }
-                    }
-                    CubeWorker {
-                        solver,
-                        verdicts,
-                        won,
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok(w) = h.join() {
-                workers.push(w);
-            }
-        }
-    });
-
-    let cube_count = cubes.len() as u64;
-    let mut unsat_cubes = 0usize;
-    let mut core_union: Vec<Lit> = Vec::new();
-    let mut winner: Option<Solver> = None;
-    let mut losers: Vec<Solver> = Vec::new();
-    for w in workers {
-        for v in &w.verdicts {
-            if let CubeVerdict::Unsat(user) = v {
-                unsat_cubes += 1;
-                for &l in user {
-                    if !core_union.contains(&l) {
-                        core_union.push(l);
-                    }
-                }
-            }
-        }
-        if w.won {
-            winner = Some(w.solver);
-        } else {
-            losers.push(w.solver);
-        }
-    }
-
-    if let Some(w) = winner {
-        adopt(
-            base,
-            w,
-            to_returns(losers),
-            before,
-            original_config,
-            original_threads,
-        );
+    if race_width <= 1 {
+        let outcome = base.solve_inner_para(assumptions, budget, None);
         return PortfolioRun {
-            outcome: SolveOutcome::Sat,
-            winner: Some("cube"),
-            cubes: cube_count,
+            outcome,
+            winner: (!outcome.is_unknown()).then_some("serial"),
             probe_fixed,
             eliminated: 0,
         };
     }
-    if unsat_cubes as u64 == cube_count && !losers.is_empty() {
-        // Every branch of the partition is refuted: the query is Unsat
-        // and the union of the per-cube assumption cores is a valid
-        // core (any model satisfying the union would fall into exactly
-        // one cube and contradict that cube's refutation).
-        let mut carrier = losers.pop().expect("checked non-empty");
-        carrier.set_core_direct(core_union);
-        if assumptions.is_empty() {
-            carrier.mark_unsat();
-        }
+
+    // ---- Diversified race to a verdict --------------------------------
+    // Captured after the burst: workers clone `base` from this point, so
+    // loser flow-deltas in `adopt` must not re-count phase-0 work.
+    let before = base.stats();
+    let mut returns = run_race(base, assumptions, budget, race_width, pool);
+    if let Some(w) = returns.iter().position(|r| r.won) {
+        let winner = returns.swap_remove(w);
+        let name = strategy(winner.author).0;
+        let outcome = winner.outcome;
         adopt(
             base,
-            carrier,
-            to_returns(losers),
+            winner.solver,
+            returns,
             before,
             original_config,
             original_threads,
         );
         return PortfolioRun {
-            outcome: SolveOutcome::Unsat,
-            winner: Some("cube"),
-            cubes: cube_count,
+            outcome,
+            winner: Some(name),
             probe_fixed,
             eliminated: 0,
         };
     }
     if let Some(reason) = budget.exhausted() {
-        let mut returns = to_returns(losers);
-        let outcome = unknown_outcome(base, &mut returns, before, reason);
+        // Keep the most-informed worker's learnt clauses so a re-solve
+        // under a fresh budget resumes from real progress, and report
+        // the aggregate conflict count — the serial Unknown contract.
+        let conflicts = returns
+            .iter()
+            .map(|r| r.solver.flow_delta_since(before).conflicts)
+            .sum();
         adopt_unknown(base, returns, before, original_config, original_threads);
         return PortfolioRun {
-            outcome,
+            outcome: SolveOutcome::Unknown { conflicts, reason },
             winner: None,
-            cubes: cube_count,
             probe_fixed,
             eliminated: 0,
         };
     }
-    // Chaos losses left cubes unresolved with a live budget: finish
-    // serially (caller's exact config) so the caller still gets a
-    // verdict.
-    adopt_unknown(
-        base,
-        to_returns(losers),
-        before,
-        original_config,
-        original_threads,
-    );
-    base.set_search_config(original_config);
+    // Workers stop only on a verdict or a spent budget, so chaos killed
+    // every one of them: degrade to the serial loop on the caller's
+    // untouched solver so the caller still gets a sound verdict.
     let outcome = base.solve_inner_para(assumptions, budget, None);
     PortfolioRun {
         outcome,
-        winner: Some("serial-fallback"),
-        cubes: cube_count,
+        winner: (!outcome.is_unknown()).then_some("serial-fallback"),
         probe_fixed,
         eliminated: 0,
     }
 }
 
-/// Phase-1 race: `race_width` diversified clones of `base` search under
-/// a per-worker conflict quota, sharing learnt clauses through `pool`;
-/// the first decisive worker claims the verdict and stops its siblings.
-/// Workers killed by the `sat.worker` failpoint are dropped; survivors
-/// (decided or quota-tripped) are appended to `returns`.
-#[allow(clippy::too_many_arguments)]
+/// The race: `race_width` diversified clones of `base` search to a
+/// verdict, sharing learnt clauses through `pool`; the first decisive
+/// worker claims the verdict and stops its siblings. Workers killed by
+/// the `sat.worker` failpoint are dropped; every survivor is returned.
 fn run_race(
     base: &Solver,
     assumptions: &[Lit],
     budget: &Budget,
     race_width: usize,
     pool: &ClausePool,
-    phase1_quota: u64,
-    stop: &AtomicBool,
-    claimed: &AtomicBool,
-    returns: &mut Vec<WorkerReturn>,
-) {
+) -> Vec<WorkerReturn> {
+    let stop = AtomicBool::new(false);
+    let claimed = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..race_width)
             .map(|i| {
                 let mut solver = base.clone();
                 let (_, config) = strategy(i);
                 solver.set_search_config(config);
-                let budget = budget.clone();
+                let (stop, claimed, budget) = (&stop, &claimed, budget.clone());
                 scope.spawn(move || {
                     // Chaos failpoint: `panic`/`delay` fire inside
                     // `eval`; an injected error aborts this worker only.
                     if rsn_fail::eval("sat.worker").is_some() {
-                        return WorkerReturn {
-                            solver,
-                            won: false,
-                            outcome: SolveOutcome::Unknown {
-                                conflicts: 0,
-                                reason: Reason::Cancelled,
-                            },
-                            author: i,
-                        };
+                        return None;
                     }
                     let ctx = ParaCtx {
                         stop,
                         pool: Some(pool),
                         author: i,
-                        quota: Some(phase1_quota),
+                        quota: None,
                         last_seen: Cell::new(0),
                     };
                     let outcome = solver.solve_inner_para(assumptions, &budget, Some(&ctx));
@@ -831,38 +497,22 @@ fn run_race(
                     if won {
                         stop.store(true, Ordering::SeqCst);
                     }
-                    WorkerReturn {
+                    Some(WorkerReturn {
                         solver,
                         won,
                         outcome,
                         author: i,
-                    }
+                    })
                 })
             })
             .collect();
-        for h in handles {
-            // A worker killed by a `panic`-action failpoint is simply
-            // dropped; its clone of the solver dies with it.
-            if let Ok(r) = h.join() {
-                returns.push(r);
-            }
-        }
-    });
-}
-
-fn to_returns(solvers: Vec<Solver>) -> Vec<WorkerReturn> {
-    solvers
-        .into_iter()
-        .map(|solver| WorkerReturn {
-            solver,
-            won: false,
-            outcome: SolveOutcome::Unknown {
-                conflicts: 0,
-                reason: Reason::Cancelled,
-            },
-            author: 0,
-        })
-        .collect()
+        // A worker killed by a `panic`-action failpoint is simply
+        // dropped; its clone of the solver dies with it.
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().ok().flatten())
+            .collect()
+    })
 }
 
 /// Copies the winning worker back into the caller's solver (restoring
@@ -892,8 +542,8 @@ fn adopt(
 }
 
 /// Unknown outcome: adopt the most-informed worker (keeping its learnt
-/// clauses for a future re-solve) and report the aggregate conflict
-/// count, mirroring the serial Unknown contract.
+/// clauses for a future re-solve), mirroring the serial Unknown
+/// contract.
 fn adopt_unknown(
     base: &mut Solver,
     mut returns: Vec<WorkerReturn>,
@@ -921,29 +571,11 @@ fn adopt_unknown(
     );
 }
 
-/// Aggregate conflicts spent by every returned worker, for the Unknown
-/// outcome's `conflicts` field.
-fn unknown_outcome(
-    base: &Solver,
-    returns: &mut [WorkerReturn],
-    before: Stats,
-    reason: Reason,
-) -> SolveOutcome {
-    let _ = base;
-    let total: u64 = returns
-        .iter()
-        .map(|r| r.solver.flow_delta_since(before).conflicts)
-        .sum();
-    SolveOutcome::Unknown {
-        conflicts: total,
-        reason,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lit::{Lit, Var};
+    use rsn_budget::Reason;
     use std::sync::Mutex;
 
     /// `rsn-fail` failpoints are process-global; every test arming one
@@ -1087,31 +719,25 @@ mod tests {
     }
 
     #[test]
-    fn cube_and_conquer_refutes_quota_survivors() {
-        // Tiny quotas pin the escalation path: the burst trips after a
-        // handful of conflicts, every worker hits the phase-1 quota, and
-        // the verdict must come from the cube partition (all cubes
-        // unsat). php(7) is far from decided within 50 conflicts.
+    fn race_refutes_burst_survivors() {
+        // A tiny burst quota pins the escalation path: the burst trips
+        // after a handful of conflicts and, with elimination off, the
+        // verdict must come from the race (or, on a one-core host, the
+        // continued serial loop). php(7) is far from decided within 10
+        // conflicts.
         let mut s = pigeonhole(7);
         let pool = ClausePool::new(POOL_CAPACITY);
-        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 10, 50, false);
+        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 10, false);
         assert_eq!(run.outcome, SolveOutcome::Unsat);
-        assert_eq!(run.winner, Some("cube"));
-        assert!(
-            run.cubes >= 4,
-            "expected 2*threads cubes, got {}",
-            run.cubes
-        );
         // The verdict is latched on the caller's solver.
         assert!(s.solve_with_under(&[], &Budget::default()).is_unsat());
     }
 
     #[test]
-    fn cube_and_conquer_finds_models() {
-        // Same forced escalation on a satisfiable formula: some cube is
-        // sat and its model must be adopted. Random 3-SAT at ratio ~4.0
-        // over 50 vars is almost surely satisfiable but needs more than
-        // the pinned quotas to decide.
+    fn race_agrees_with_serial_on_random_3sat() {
+        // Same forced escalation on random 3-SAT at ratio ~4.0 over 50
+        // vars, which needs more than the pinned burst quota to decide:
+        // the race's verdict must equal the serial one.
         let mut rng = 0xabcd_ef01_2345_6789u64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1135,7 +761,7 @@ mod tests {
         let expected = serial.solve_with_under(&[], &Budget::default());
         assert!(!expected.is_unknown());
         let pool = ClausePool::new(POOL_CAPACITY);
-        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, 2, false);
+        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, false);
         assert_eq!(run.outcome, expected);
     }
 
@@ -1181,7 +807,7 @@ mod tests {
             let expected = serial.solve_with_under(&[], &Budget::default());
             assert!(!expected.is_unknown(), "seed {seed}");
             let pool = ClausePool::new(POOL_CAPACITY);
-            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, 2, true);
+            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, true);
             assert_eq!(run.outcome, expected, "seed {seed}");
             if expected.is_sat() {
                 for c in &clauses {
@@ -1216,7 +842,7 @@ mod tests {
         }
         s.add_clause([lp(head)]);
         let pool = ClausePool::new(POOL_CAPACITY);
-        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 10, 50, true);
+        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 10, true);
         assert_eq!(run.outcome, SolveOutcome::Unsat);
         assert_eq!(run.winner, Some("eliminate"));
         assert!(
@@ -1249,7 +875,6 @@ mod tests {
             2,
             &pool,
             1,
-            2,
             true,
         );
         assert_eq!(run.outcome, SolveOutcome::Unsat);

@@ -727,7 +727,9 @@ impl Solver {
     /// and record a [`rsn_obs::record_budget_trip`] backtrace. Each call
     /// also samples the `sat.solve_ns` / `sat.solve_conflicts` histograms
     /// and attributes its budget work (conflicts + the entry unit) to
-    /// `budget.spent{engine=sat}`.
+    /// `budget.spent{engine=sat}`. With [`Solver::set_threads`] > 1 the
+    /// same set covers the whole portfolio solve (every worker's work),
+    /// plus the portfolio's own counters (see [`crate::portfolio`]).
     pub fn solve_with_under(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         // Chaos failpoint: `panic`/`delay` fire inside `eval`; an
         // injected error or budget exhaustion cancels the caller's
@@ -736,17 +738,14 @@ impl Solver {
         if rsn_fail::eval("sat.solve").is_some() {
             budget.cancel();
         }
-        if self.threads > 1 {
-            return crate::portfolio::solve_portfolio(self, assumptions, budget);
-        }
-        self.solve_serial_instrumented(assumptions, budget)
-    }
-
-    fn solve_serial_instrumented(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         let _trace = rsn_obs::TraceGuard::new("sat_solve");
         let start = std::time::Instant::now();
         let before = self.stats;
-        let result = self.solve_inner_para(assumptions, budget, None);
+        let result = if self.threads > 1 {
+            crate::portfolio::solve_portfolio(self, assumptions, budget)
+        } else {
+            self.solve_inner_para(assumptions, budget, None)
+        };
         let after = self.stats;
         let conflicts = after.conflicts - before.conflicts;
         rsn_obs::counter_add("sat.solves", 1);
@@ -846,7 +845,7 @@ impl Solver {
                             reason: Reason::Cancelled,
                         };
                     }
-                    // Quota exceeded: hand the instance to cube-and-conquer.
+                    // Burst quota exceeded: escalate to the next ladder step.
                     if ctx
                         .quota
                         .is_some_and(|q| self.stats.conflicts - conflicts_at_entry >= q)
@@ -1197,14 +1196,15 @@ impl Solver {
         self.lbd_acc.merge(h);
     }
 
-    /// Overwrites the failed-assumption core (cube-and-conquer unions
-    /// per-cube cores into a whole-query core).
+    /// Overwrites the failed-assumption core (the core of a reduced
+    /// solve after bounded variable elimination maps over directly).
     pub(crate) fn set_core_direct(&mut self, core: Vec<Lit>) {
         self.core = core;
     }
 
-    /// Latches the formula as unsatisfiable (set when a cube partition
-    /// refutes every branch of an assumption-free query).
+    /// Latches the formula as unsatisfiable (set when the reduced solve
+    /// after bounded variable elimination refutes an assumption-free
+    /// query).
     pub(crate) fn mark_unsat(&mut self) {
         self.unsat = true;
     }
@@ -1231,13 +1231,13 @@ impl Solver {
         }
     }
 
-    /// The `k` unassigned variables with the highest VSIDS activity,
-    /// excluding `exclude` (assumption variables) — the cube-and-conquer
-    /// split variables. Call at decision level 0.
-    pub(crate) fn top_active_vars(&self, k: usize, exclude: &[Var]) -> Vec<Var> {
+    /// The `k` unassigned variables with the highest VSIDS activity —
+    /// the candidates of root failed-literal probing. Call at decision
+    /// level 0.
+    fn top_active_vars(&self, k: usize) -> Vec<Var> {
         let mut vars: Vec<Var> = (0..self.num_vars() as u32)
             .map(Var)
-            .filter(|v| self.assign[v.index()] == UNDEF && !exclude.contains(v))
+            .filter(|v| self.assign[v.index()] == UNDEF)
             .collect();
         vars.sort_by(|a, b| {
             self.activity[b.index()]
@@ -1272,7 +1272,7 @@ impl Solver {
             self.mark_unsat();
             return 0;
         }
-        let candidates = self.top_active_vars(max_vars, &[]);
+        let candidates = self.top_active_vars(max_vars);
         let mut mark = vec![false; 2 * self.num_vars()];
         let mut fixed = 0u64;
         for v in candidates {
