@@ -84,6 +84,16 @@ fn fixed_pipeline_report_contains_solver_and_phase_telemetry() {
     );
     assert!(parsed.get_path("counters/ilp.cut_rounds").is_some());
 
+    // Every multiplexer address net of the synthesized network is
+    // TMR-hardened and counted.
+    assert_eq!(
+        parsed
+            .get_path("counters/synth.hardened_muxes")
+            .and_then(|v| v.as_f64()),
+        Some(result.rsn.muxes().count() as f64),
+        "synth.hardened_muxes in {text}"
+    );
+
     // Per-phase synthesis timings.
     let gauges = parsed.get_path("gauges").expect("gauges object");
     for phase in ["dataflow", "augment", "build", "harden", "select"] {

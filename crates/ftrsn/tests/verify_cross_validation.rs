@@ -1,9 +1,10 @@
 //! Cross-validation of the exhaustive SAT-backed verifier (`rsn-verify`)
-//! against the three other oracles in the workspace:
+//! against the other oracles in the workspace:
 //!
-//! 1. the legacy sampled `Rsn::lint` — the verifier's findings must be a
-//!    superset on every example network and embedded benchmark tried;
-//! 2. the cycle-accurate simulator — every SAT-derived witness
+//! 1. the simulator, probing the reset configuration and every
+//!    single-bit flip of it — every select/path mismatch it observes must
+//!    be reported as `RSN001` on that segment;
+//! 2. the simulator, replaying witnesses — every SAT-derived witness
 //!    configuration must reproduce its finding through `trace_path`;
 //! 3. `rsn_bmc::verify_select_consistency` — the two independent SAT
 //!    encodings must agree on select/path consistency (restricted to
@@ -14,7 +15,7 @@
 
 use ftrsn::bmc::verify_select_consistency;
 use ftrsn::core::examples::{chain, fig2, sib_tree};
-use ftrsn::core::{ControlExpr, LintWarning, NodeKind, Rsn, RsnBuilder};
+use ftrsn::core::{ControlExpr, NodeId, NodeKind, Rsn, RsnBuilder};
 use ftrsn::itc02::by_name;
 use ftrsn::sib::generate;
 use ftrsn::synth::{synthesize, SynthesisOptions};
@@ -31,37 +32,10 @@ fn embedded_networks() -> Vec<Rsn> {
         .collect()
 }
 
-/// Same (code, node) finding; the solver's witness need not equal the
-/// sampled one.
-fn same_finding(a: &LintWarning, b: &LintWarning) -> bool {
-    match (a, b) {
-        (
-            LintWarning::SelectPathMismatch { segment: x, .. },
-            LintWarning::SelectPathMismatch { segment: y, .. },
-        ) => x == y,
-        _ => a == b,
-    }
-}
-
-#[test]
-fn verifier_findings_superset_of_sampled_lint_everywhere() {
-    for rsn in example_networks().into_iter().chain(embedded_networks()) {
-        let sampled = rsn.lint(64);
-        let proven = verify(&rsn).to_lint_warnings();
-        for w in &sampled {
-            assert!(
-                proven.iter().any(|p| same_finding(p, w)),
-                "network {}: sampled lint found {w} but the verifier did not",
-                rsn.name()
-            );
-        }
-    }
-}
-
 /// A single-segment network whose select predicate depends on a primary
 /// input while the segment is unconditionally on the scan path: every
 /// configuration with the input low is a select/path mismatch.
-fn mismatched_network() -> (Rsn, ftrsn::core::NodeId) {
+fn mismatched_network() -> (Rsn, NodeId) {
     let mut b = RsnBuilder::new("mismatch");
     let i = b.add_inputs(1);
     let s = b.add_segment("s", 4);
@@ -69,6 +43,85 @@ fn mismatched_network() -> (Rsn, ftrsn::core::NodeId) {
     b.connect(b.scan_in(), s);
     b.connect(s, b.scan_out());
     (b.finish().expect("builds"), s)
+}
+
+/// A single segment on the only scan path whose select is the constant
+/// `false`: it is on the path in every configuration, selected in none.
+fn constant_false_select_network() -> Rsn {
+    let mut b = RsnBuilder::new("never-selected");
+    let s = b.add_segment("s", 2);
+    b.connect(b.scan_in(), s);
+    b.connect(s, b.scan_out());
+    b.finish().expect("builds")
+}
+
+/// The reset configuration and every configuration one shadow bit or one
+/// primary input away from it.
+fn reset_and_single_flips(rsn: &Rsn) -> Vec<ftrsn::core::Config> {
+    let reset = rsn.reset_config();
+    let mut cfgs = vec![reset.clone()];
+    for bit in 0..rsn.shadow_bits() as usize {
+        let mut c = reset.clone();
+        c.set_bit(bit, !c.bit(bit));
+        cfgs.push(c);
+    }
+    for i in 0..reset.num_inputs() {
+        let id = ftrsn::core::InputId(i as u32);
+        let mut c = reset.clone();
+        c.set_input(id, !c.input(id));
+        cfgs.push(c);
+    }
+    cfgs
+}
+
+#[test]
+fn every_simulated_select_path_mismatch_is_proven() {
+    let mut networks = example_networks();
+    networks.extend(embedded_networks());
+    networks.push(mismatched_network().0);
+    networks.push(constant_false_select_network());
+    let mut mismatches_seen = 0;
+    for rsn in &networks {
+        let report = verify(rsn);
+        let proven: Vec<NodeId> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::SelectPathMismatch)
+            .filter_map(|d| d.node)
+            .collect();
+        // A segment is on path when a path traced from any scan-out port
+        // contains it.
+        let sinks: Vec<NodeId> = rsn
+            .node_ids()
+            .filter(|&id| matches!(rsn.node(id).kind(), NodeKind::ScanOut))
+            .collect();
+        for cfg in reset_and_single_flips(rsn) {
+            let Ok(paths) = sinks
+                .iter()
+                .map(|&p| rsn.trace_path_from(p, &cfg))
+                .collect::<Result<Vec<_>, _>>()
+            else {
+                continue; // a flip that fails to decode shows no path
+            };
+            for seg in rsn.segments() {
+                let Ok(selected) = rsn.select(seg, &cfg) else {
+                    continue;
+                };
+                if selected != paths.iter().any(|p| p.contains(seg)) {
+                    mismatches_seen += 1;
+                    assert!(
+                        proven.contains(&seg),
+                        "network {}: the simulator sees segment {} mismatch \
+                         but the verifier reports no RSN001 on it:\n{}",
+                        rsn.name(),
+                        rsn.node(seg).name(),
+                        report.render()
+                    );
+                }
+            }
+        }
+    }
+    assert!(mismatches_seen > 0, "no network exercised the oracle");
 }
 
 #[test]

@@ -41,7 +41,6 @@ pub mod dot;
 pub mod error;
 pub mod examples;
 pub mod expr;
-pub mod lint;
 pub mod network;
 pub mod path;
 pub mod retarget;
@@ -50,7 +49,6 @@ pub mod session;
 pub use config::Config;
 pub use error::{Error, Result};
 pub use expr::{CompiledExpr, ControlExpr, InputId};
-pub use lint::{structural_findings, LintWarning, StructuralFindings};
 pub use network::{Mux, Node, NodeId, NodeKind, Rsn, RsnBuilder, Segment};
 pub use path::ScanPath;
 pub use retarget::{GroupAccessPlan, LatencyReport};

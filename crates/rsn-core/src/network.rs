@@ -1148,4 +1148,19 @@ mod tests {
         assert_eq!(rsn.shadow_bits(), 0);
         assert_eq!(rsn.total_bits(), 8);
     }
+
+    #[test]
+    fn shadow_less_address_source_is_rejected() {
+        // A mux address reading a register without a shadow could never
+        // be driven: the builder refuses the reference.
+        let mut b = RsnBuilder::new("w");
+        let ro = b.add_readonly_segment("RO", 1);
+        b.set_select(ro, ControlExpr::TRUE);
+        b.connect(b.scan_in(), ro);
+        let s = b.add_segment("S", 1);
+        b.connect(ro, s);
+        let m = b.add_mux("M", vec![ro, s], vec![ControlExpr::reg(ro, 0)]);
+        b.connect(m, b.scan_out());
+        assert!(b.finish().is_err());
+    }
 }

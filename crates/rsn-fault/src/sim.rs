@@ -9,7 +9,8 @@
 //! * a **shadow/control fault** pins the faulty register bit after every
 //!   update,
 //! * a **multiplexer address fault** pins the multiplexer's decoded input
-//!   (simulated by rewriting the traced path),
+//!   to the address [`effect_of`] pins (simulated by rewriting the traced
+//!   path); on a TMR-hardened multiplexer it is masked,
 //! * **scan port faults** force the injected/observed stream.
 //!
 //! The simulator is the executable ground truth used to validate faulty
@@ -19,7 +20,9 @@
 use rsn_core::csu::SimState;
 use rsn_core::{NodeId, NodeKind, Result, Rsn};
 
+use crate::effect::effect_of;
 use crate::fault::{Fault, FaultSite};
+use crate::metric::HardeningProfile;
 
 /// A faulty-network simulator: an [`Rsn`], one injected [`Fault`], and the
 /// dynamic [`SimState`].
@@ -27,6 +30,8 @@ use crate::fault::{Fault, FaultSite};
 pub struct FaultySim<'a> {
     rsn: &'a Rsn,
     fault: Fault,
+    /// The multiplexer input index a (non-masked) address fault pins.
+    pinned_mux: Option<(NodeId, usize)>,
     /// Dynamic state (shift registers + configuration).
     pub state: SimState,
 }
@@ -44,9 +49,19 @@ impl<'a> FaultySim<'a> {
             !matches!(fault.site, FaultSite::SegmentSelect(_)),
             "select-stem faults are not simulated at bit level"
         );
+        // Address faults pin exactly what the fault model pins; the
+        // hardening profile only concerns select stems.
+        let pinned_mux = match fault.site {
+            FaultSite::MuxAddress(m) => effect_of(rsn, &fault, HardeningProfile::unhardened())
+                .forced_mux
+                .get(&m)
+                .map(|&addr| (m, addr)),
+            _ => None,
+        };
         let mut sim = FaultySim {
             rsn,
             fault,
+            pinned_mux,
             state: SimState::reset(rsn),
         };
         sim.apply_state_fault();
@@ -179,15 +194,8 @@ impl<'a> FaultySim<'a> {
         let limit = rsn.node_count() + 1;
         while !matches!(rsn.node(cur).kind(), NodeKind::ScanIn) {
             let prev = match rsn.node(cur).kind() {
-                NodeKind::Mux(m) => match self.fault.site {
-                    FaultSite::MuxAddress(f) if f == cur => {
-                        let idx = if self.fault.value {
-                            m.inputs.len() - 1
-                        } else {
-                            0
-                        };
-                        m.inputs[idx.min(1)]
-                    }
+                NodeKind::Mux(m) => match self.pinned_mux {
+                    Some((f, addr)) if f == cur => m.inputs[addr],
                     _ => rsn.mux_selected_input(cur, &self.state.config)?,
                 },
                 _ => rsn
@@ -309,6 +317,7 @@ impl<'a> FaultySim<'a> {
 mod tests {
     use super::*;
     use rsn_core::examples::{chain, fig2};
+    use rsn_core::{ControlExpr, RsnBuilder};
 
     #[test]
     fn stuck_cell_corrupts_pass_through_data() {
@@ -422,6 +431,82 @@ mod tests {
         let sim = FaultySim::new(&rsn, fault);
         let path = sim.trace_faulty_path().expect("trace");
         assert!(path.contains(&c), "stuck-1 address forces the C branch");
+    }
+
+    #[test]
+    fn address_faults_on_hardened_muxes_leave_the_path_alone() {
+        // The paper's FT synthesis TMR-hardens every mux address net, so
+        // the fault model masks every address fault: the simulated path
+        // must stay the fault-free one.
+        let soc =
+            rsn_itc02::parse_soc("SocName t\n1 0 0 0 2 : 3 2\n2 0 0 0 1 : 4\n").expect("parse");
+        let rsn = rsn_sib::generate(&soc).expect("generate");
+        let ft = rsn_synth::synthesize(&rsn, &rsn_synth::SynthesisOptions::new())
+            .expect("synthesize")
+            .rsn;
+        let fault_free = ft
+            .trace_path(&ft.reset_config())
+            .expect("trace")
+            .nodes()
+            .to_vec();
+        let mut checked = 0;
+        for m in ft.muxes() {
+            assert!(ft.node(m).as_mux().expect("mux").hardened);
+            for value in [false, true] {
+                let fault = Fault {
+                    site: FaultSite::MuxAddress(m),
+                    value,
+                    weight: 1,
+                };
+                assert!(effect_of(&ft, &fault, HardeningProfile::hardened()).is_benign());
+                let path = FaultySim::new(&ft, fault)
+                    .trace_faulty_path()
+                    .expect("trace");
+                assert_eq!(
+                    path,
+                    fault_free,
+                    "{} stuck-at-{}",
+                    ft.node(m).name(),
+                    value as u8
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn four_input_mux_stuck_at_one_routes_the_last_input() {
+        let mut b = RsnBuilder::new("mux4");
+        let i = b.add_inputs(2);
+        let segs: Vec<NodeId> = (0..4)
+            .map(|k| {
+                let s = b.add_segment(format!("S{k}"), 1);
+                b.set_select(s, ControlExpr::TRUE);
+                b.connect(b.scan_in(), s);
+                s
+            })
+            .collect();
+        let m = b.add_mux(
+            "M",
+            segs.clone(),
+            vec![ControlExpr::input(i), ControlExpr::input(i + 1)],
+        );
+        b.connect(m, b.scan_out());
+        let rsn = b.finish().expect("valid structure");
+        let fault = Fault {
+            site: FaultSite::MuxAddress(m),
+            value: true,
+            weight: 1,
+        };
+        let path = FaultySim::new(&rsn, fault)
+            .trace_faulty_path()
+            .expect("trace");
+        assert!(
+            path.contains(&segs[3]),
+            "address 11 routes input 3: {path:?}"
+        );
+        assert!(!path.contains(&segs[1]));
     }
 
     #[test]

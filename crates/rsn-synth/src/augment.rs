@@ -36,22 +36,20 @@ pub fn edge_cost(levels: &[usize], alpha: f64, i: usize, j: usize) -> f64 {
     1.0 + alpha * (levels[j].saturating_sub(levels[i])) as f64
 }
 
+/// Candidate in/out edges the ILP considers per vertex: the cheapest by
+/// cost, which keeps the variable count tractable.
+const MAX_CANDIDATES: usize = 8;
+
 /// Options for the augmentation solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AugmentOptions {
     /// Long-line penalty factor in the edge cost.
     pub alpha: f64,
-    /// Candidate in/out edges considered per vertex in the ILP (keeps the
-    /// variable count tractable; candidates are the cheapest by cost).
-    pub max_candidates: usize,
 }
 
 impl Default for AugmentOptions {
     fn default() -> Self {
-        AugmentOptions {
-            alpha: 0.1,
-            max_candidates: 8,
-        }
+        AugmentOptions { alpha: 0.1 }
     }
 }
 
@@ -141,7 +139,7 @@ pub fn augment_ilp_under(
         }
     }
 
-    // Candidate edges: per vertex, the cheapest max_candidates in-edges and
+    // Candidate edges: per vertex, the cheapest MAX_CANDIDATES in-edges and
     // out-edges (plus every original edge at cost 0 and the liveness
     // edges).
     let mut candidates: HashSet<(usize, usize)> = existing.clone();
@@ -162,7 +160,7 @@ pub fn augment_ilp_under(
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            for &u in ins.iter().take(opts.max_candidates) {
+            for &u in ins.iter().take(MAX_CANDIDATES) {
                 candidates.insert((u, v));
             }
         }
@@ -181,7 +179,7 @@ pub fn augment_ilp_under(
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            for &w in outs.iter().take(opts.max_candidates) {
+            for &w in outs.iter().take(MAX_CANDIDATES) {
                 candidates.insert((v, w));
             }
         }

@@ -6,48 +6,94 @@
 
 use std::collections::BTreeMap;
 
-use rsn_core::{structural_findings, NodeId, NodeKind, Rsn};
+use rsn_core::{NodeId, NodeKind, Rsn};
 use rsn_graph::DiGraph;
 
 use crate::diag::{Code, Diagnostic};
 use crate::encode::{NetworkSat, SatScratch};
 
-/// Structural passes shared with the legacy lint: reachability in both
-/// directions (`RSN007`, `RSN008`) and shadow-less address sources
-/// (`RSN006`).
+/// Structural passes: reachability in both directions (`RSN007`,
+/// `RSN008`) and shadow-less address sources (`RSN006`). Only graph
+/// reachability and expression syntax are read; no configuration is
+/// evaluated.
 pub(crate) fn structural(rsn: &Rsn) -> Vec<Diagnostic> {
-    let f = structural_findings(rsn);
     let mut out = Vec::new();
-    for &n in &f.unreachable {
+
+    // Reachability in both directions.
+    let n = rsn.node_count();
+    let mut fwd = vec![false; n];
+    let mut stack: Vec<NodeId> = rsn
+        .node_ids()
+        .filter(|&id| matches!(rsn.node(id).kind(), NodeKind::ScanIn))
+        .collect();
+    for &r in &stack {
+        fwd[r.index()] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for &v in rsn.successors(u) {
+            if !fwd[v.index()] {
+                fwd[v.index()] = true;
+                stack.push(v);
+            }
+        }
+    }
+    let mut bwd = vec![false; n];
+    let mut stack: Vec<NodeId> = rsn
+        .node_ids()
+        .filter(|&id| matches!(rsn.node(id).kind(), NodeKind::ScanOut))
+        .collect();
+    for &s in &stack {
+        bwd[s.index()] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for p in rsn.predecessors(u) {
+            if !bwd[p.index()] {
+                bwd[p.index()] = true;
+                stack.push(p);
+            }
+        }
+    }
+    for id in rsn.node_ids().filter(|id| !fwd[id.index()]) {
         out.push(Diagnostic::new(
             Code::UnreachableFromScanIn,
             rsn,
-            n,
+            id,
             "node is unreachable from any scan-in port",
         ));
     }
-    for &n in &f.unobservable {
+    for id in rsn.node_ids().filter(|id| !bwd[id.index()]) {
         out.push(Diagnostic::new(
             Code::CannotReachScanOut,
             rsn,
-            n,
+            id,
             "no scan-out port is reachable from the node",
         ));
     }
-    for &(mux, register) in &f.shadowless_addresses {
-        out.push(
-            Diagnostic::new(
-                Code::AddressWithoutShadow,
-                rsn,
-                mux,
-                format!(
-                    "mux address reads register {} ({}) which has no shadow",
-                    register,
-                    rsn.node(register).name()
-                ),
-            )
-            .with_related(vec![register]),
-        );
+
+    // Shadow-less address sources.
+    for m in rsn.muxes() {
+        let mux = rsn.node(m).as_mux().expect("mux");
+        let mut refs = Vec::new();
+        for e in &mux.addr_bits {
+            e.collect_reg_refs(&mut refs);
+        }
+        for (register, _) in refs {
+            if rsn.shadow_offset(register).is_none() {
+                out.push(
+                    Diagnostic::new(
+                        Code::AddressWithoutShadow,
+                        rsn,
+                        m,
+                        format!(
+                            "mux address reads register {} ({}) which has no shadow",
+                            register,
+                            rsn.node(register).name()
+                        ),
+                    )
+                    .with_related(vec![register]),
+                );
+            }
+        }
     }
     out
 }
